@@ -94,6 +94,10 @@ class HelmholtzOperator:
         diag[:, 0] -= (1.0 + 1j * self.h * k_eta[:, 0]) / h2
         diag[:, -1] -= (1.0 + 1j * self.h * k_eta[:, -1]) / h2
         self._diag = diag
+        # apply() works on h^2 * A and scales by 1/h^2 once at the end
+        self._diag_h2 = diag * h2
+        self._inv_h2 = 1.0 / h2
+        self._inv_diag = None
 
     @property
     def side(self) -> int:
@@ -106,12 +110,12 @@ class HelmholtzOperator:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         self._check(u)
-        h2 = self.h**2
-        out = self._diag * u
-        out[1:, :] -= u[:-1, :] / h2
-        out[:-1, :] -= u[1:, :] / h2
-        out[:, 1:] -= u[:, :-1] / h2
-        out[:, :-1] -= u[:, 1:] / h2
+        out = self._diag_h2 * u
+        out[1:, :] -= u[:-1, :]
+        out[:-1, :] -= u[1:, :]
+        out[:, 1:] -= u[:, :-1]
+        out[:, :-1] -= u[:, 1:]
+        out *= self._inv_h2
         return out
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
@@ -122,6 +126,17 @@ class HelmholtzOperator:
 
     def diagonal(self) -> np.ndarray:
         return self._diag.copy()
+
+    def inverse_diagonal(self) -> np.ndarray:
+        """Read-only 1/diagonal, computed and checked for zeros on first
+        use, then cached for the lifetime of the operator."""
+        if self._inv_diag is None:
+            if np.any(self._diag == 0.0):
+                raise ZeroDivisionError("operator has a zero diagonal entry")
+            inv = 1.0 / self._diag
+            inv.flags.writeable = False
+            self._inv_diag = inv
+        return self._inv_diag
 
     def as_sparse(self) -> sparse.csc_matrix:
         """Assembled matrix in row-major vector ordering (used for the exact

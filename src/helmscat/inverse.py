@@ -57,19 +57,23 @@ def data_fidelity(scene: ScatteringScene, f: np.ndarray, view: int,
 
 
 def gradient_data_fidelity(scene: ScatteringScene, f: np.ndarray,
-                           subset, measurements, cfg: SolverConfig
+                           subset, measurements, cfg: SolverConfig,
+                           g_full: np.ndarray | None = None
                            ) -> tuple[np.ndarray, float, float]:
     """Summed gradient of the per-view quadratic fidelities over ``subset``
     (fixed ascending view order), plus the subset fidelity value and the
-    multigrid work units spent.
+    multigrid work units spent.  ``g_full`` is the scene's sensor operator;
+    it does not depend on ``f``, so callers that evaluate many gradients
+    pass it in rather than have it rebuilt on every call.
 
     Per view: r = H(f) - y, w = G^H r on the region of interest, then
     grad += Re(conj(u) * (w + restrict(A^{-H} embed(f * w)))).
     """
     subset = sorted(subset)
     fwd = HelmholtzForward(scene, f, cfg)
-    g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
-                                   scene.k0, scene.eta_b)
+    if g_full is None:
+        g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
+                                       scene.k0, scene.eta_b)
     s = scene.grid.points_per_side
     grad = np.zeros((s, s))
     fidelity = 0.0
@@ -182,12 +186,14 @@ def reconstruct_fbs(measurements, scene: ScatteringScene,
     rng = np.random.default_rng(config.seed)
     history = ReconstructionHistory()
     t0 = time.perf_counter()
+    g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
+                                   scene.k0, scene.eta_b)
     work = 0.0
     for _ in range(config.iterations):
         subset = select_subset(rng, scene.geometry.num_views,
                                config.subset_size)
         grad, fidelity, wu = gradient_data_fidelity(
-            scene, f_bar, subset, measurements, config.solver)
+            scene, f_bar, subset, measurements, config.solver, g_full=g_full)
         f_new = tv_prox(f_bar - config.gamma * grad,
                         config.gamma * config.tau,
                         config.inner_prox_iterations)

@@ -3,6 +3,7 @@ callables operating on complex 2-D fields (or flat vectors)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +37,11 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
 
     Stops when ||r|| <= tol * ||b||.  Returns ``(x, SolveReport)``; on
     non-convergence the partial iterate is returned with
-    ``converged=False``.  Raises :class:`BicgstabBreakdown` on a vanishing
-    recurrence scalar.
+    ``converged=False``.  A non-finite residual norm (NaN or inf in ``b``,
+    ``x0`` or the operators) also stops the run with ``converged=False``,
+    at the first step that produces it; the norm is kept as the last entry
+    of ``residual_history``.  Raises :class:`BicgstabBreakdown` on a
+    vanishing recurrence scalar.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -62,6 +66,8 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
     report = SolveReport(iterations=0,
                          residual_history=[float(np.linalg.norm(r))])
     threshold = tol * b_norm
+    if not math.isfinite(report.residual_history[0]):
+        return x, report
     if report.residual_history[0] <= threshold:
         report.converged = True
         return x, report
@@ -83,6 +89,10 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
         h = x + alpha * y
         s = r - alpha * v
         s_norm = float(np.linalg.norm(s))
+        if not math.isfinite(s_norm):
+            report.iterations = it
+            report.residual_history.append(s_norm)
+            break
         if s_norm <= threshold:
             # half-step already converged; the stabilization solve would
             # divide by <t,t> ~ 0
@@ -103,6 +113,8 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
         r_norm = float(np.linalg.norm(r))
         report.iterations = it
         report.residual_history.append(r_norm)
+        if not math.isfinite(r_norm):
+            break
         if r_norm <= threshold:
             report.converged = True
             break

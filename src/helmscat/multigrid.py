@@ -17,36 +17,56 @@ from scipy.sparse.linalg import splu
 from .helmholtz import HelmholtzOperator
 
 
-def damped_jacobi(op: HelmholtzOperator, b: np.ndarray, v: np.ndarray,
-                  omega: float, sweeps: int) -> np.ndarray:
-    """v <- v - omega * D^{-1} (A v - b), repeated ``sweeps`` times."""
+def damped_jacobi(op: HelmholtzOperator, b: np.ndarray,
+                  v: np.ndarray | None, omega: float,
+                  sweeps: int) -> np.ndarray:
+    """v <- v - omega * D^{-1} (A v - b), repeated ``sweeps`` times.
+
+    ``v=None`` starts from the zero field: the first sweep is then
+    omega * D^{-1} b, computed without applying the operator, and with
+    ``sweeps=0`` the result is the zero field.  An array ``v`` is never
+    modified.  D^{-1} is the operator's inverse diagonal, built and checked
+    once per operator; a zero diagonal entry raises ``ZeroDivisionError``.
+    """
     if not 0.0 < omega <= 1.0:
         raise ValueError("omega must be in (0, 1]")
     if sweeps < 0:
         raise ValueError("sweeps must be nonnegative")
-    d = op.diagonal()
-    if np.any(d == 0.0):
-        raise ZeroDivisionError("operator has a zero diagonal entry")
-    out = v
+    d_inv = op.inverse_diagonal()
+    if v is None:
+        if sweeps == 0:
+            return np.zeros(np.shape(b), dtype=np.result_type(b, d_inv))
+        v = b * d_inv
+        v *= omega
+        sweeps -= 1
     for _ in range(sweeps):
-        out = out - omega * (op.apply(out) - b) / d
-    return out
+        t = op.apply(v)
+        t -= b
+        t *= d_inv
+        t *= omega
+        v = np.subtract(v, t, out=t)
+    return v
 
 
 def restrict_full_weighting(r_fine: np.ndarray) -> np.ndarray:
     """Full-weighting transfer to the twice-coarser grid; fine samples that
-    fall outside the grid read as zero."""
+    fall outside the grid read as zero.
+
+    The 3x3 stencil [1 2 1]^T [1 2 1] / 16 is applied as two 1-D passes,
+    rows then columns, with no padded copy of ``r_fine``."""
     sf = r_fine.shape[0]
     if sf % 2 == 0:
         raise ValueError("fine side must be odd")
-    p = np.zeros((sf + 2, sf + 2), dtype=r_fine.dtype)
-    p[1:-1, 1:-1] = r_fine
-    c = p[1:-1:2, 1:-1:2]
-    edges = (p[0:-2:2, 1:-1:2] + p[2::2, 1:-1:2]
-             + p[1:-1:2, 0:-2:2] + p[1:-1:2, 2::2])
-    corners = (p[0:-2:2, 0:-2:2] + p[0:-2:2, 2::2]
-               + p[2::2, 0:-2:2] + p[2::2, 2::2])
-    return (4.0 * c + 2.0 * edges + corners) / 16.0
+    odd = r_fine[1::2, :]
+    rows = 2.0 * r_fine[0::2, :]
+    rows[1:, :] += odd
+    rows[:-1, :] += odd
+    odd = rows[:, 1::2]
+    out = 2.0 * rows[:, 0::2]
+    out[:, 1:] += odd
+    out[:, :-1] += odd
+    out *= 1.0 / 16.0
+    return out
 
 
 def prolong_bilinear(e_coarse: np.ndarray) -> np.ndarray:
@@ -80,7 +100,13 @@ def coarsen_operator(fine_op: HelmholtzOperator) -> HelmholtzOperator:
 
 @dataclass
 class WorkUnitMeter:
-    """Tallies smoother sweeps, weighted 2^(-2p) at level p (d = 2)."""
+    """Tallies smoother sweeps, weighted 2^(-2p) at level p (d = 2).
+
+    Only smoother sweeps count: residuals, transfers and the coarsest
+    solve are not metered.  A sweep from the zero guess (``v=None`` in
+    :func:`damped_jacobi`) counts as a full sweep, although it skips the
+    operator application.
+    """
 
     sweeps_per_level: dict[int, int] = field(default_factory=dict)
 
@@ -131,25 +157,27 @@ class MgHierarchy:
         """Callable applying one multigrid cycle from a zero initial guess
         (a fixed linear operator, as a Krylov preconditioner requires)."""
         def apply_m(b):
-            return mg_cycle(self, b, np.zeros_like(b))
+            return mg_cycle(self, b, None)
         return apply_m
 
 
-def mg_cycle(hier: MgHierarchy, b: np.ndarray, v0: np.ndarray,
+def mg_cycle(hier: MgHierarchy, b: np.ndarray, v0: np.ndarray | None,
              level: int = 0) -> np.ndarray:
-    """One multigrid cycle (V for cycle_type=1, W for 2) on ``level``."""
+    """One multigrid cycle (V for cycle_type=1, W for 2) on ``level``;
+    ``v0=None`` is the zero initial guess (see :func:`damped_jacobi`)."""
     op = hier.levels[level]
     if level == len(hier.levels) - 1:
         return hier.coarsest_solve(b)
     v = damped_jacobi(op, b, v0, hier.omega, hier.nu1)
     hier.meter.record(level, hier.nu1)
-    r = b - op.apply(v)
-    r_c = restrict_full_weighting(r)
-    e_c = np.zeros_like(r_c)
+    r = op.apply(v)
+    r_c = restrict_full_weighting(np.subtract(b, r, out=r))
+    e_c = None
     for _ in range(hier.cycle_type):
         e_c = mg_cycle(hier, r_c, e_c, level + 1)
-    v = v + prolong_bilinear(e_c)
-    v = damped_jacobi(op, b, v, hier.omega, hier.nu2)
+    v_corr = prolong_bilinear(e_c)
+    v_corr += v
+    v = damped_jacobi(op, b, v_corr, hier.omega, hier.nu2)
     hier.meter.record(level, hier.nu2)
     return v
 

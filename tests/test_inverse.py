@@ -173,3 +173,33 @@ def test_reconstruction_history_without_truth():
     assert history.snr_db == []
     assert len(history.work_units) == 2
     assert history.work_units[-1] >= history.work_units[0]
+
+
+def test_gradient_reuses_given_sensor_operator():
+    scene, cfg, f_true, ms = _toy_problem()
+    f = 0.5 * f_true
+    g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
+                                   scene.k0, scene.eta_b)
+    grad, fid, _ = hs.gradient_data_fidelity(scene, f, [0, 2], ms, cfg)
+    grad_g, fid_g, _ = hs.gradient_data_fidelity(scene, f, [0, 2], ms, cfg,
+                                                 g_full=g_full)
+    np.testing.assert_array_equal(grad_g, grad)
+    assert fid_g == fid
+
+
+def test_reconstruction_builds_sensor_operator_once(monkeypatch):
+    import helmscat.inverse as inverse
+    scene, cfg, f_true, ms = _toy_problem()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return sensor_green_operator(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, "sensor_green_operator", counting)
+    rc = hs.ReconstructionConfig(gamma=0.05, tau=1e-4, iterations=3,
+                                 subset_size=2, seed=1, solver=cfg)
+    f1, _ = hs.reconstruct_fbs(ms, scene, rc)
+    assert len(calls) == 1
+    f2, _ = hs.reconstruct_fbs(ms, scene, rc)
+    np.testing.assert_array_equal(f1, f2)

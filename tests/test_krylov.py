@@ -101,3 +101,36 @@ def test_half_step_exit():
     x, report = bicgstab(lambda v: v.copy(), b, x0=0.5 * b, tol=1e-12)
     assert report.converged
     np.testing.assert_allclose(x, b, rtol=1e-12)
+
+
+def test_nan_rhs_stops_at_once():
+    # a NaN right-hand side used to run all max_iter iterations
+    A = 3.0 * np.eye(6)
+    b = np.ones(6, dtype=complex)
+    b[2] = np.nan
+    calls = []
+    apply_M = lambda v: calls.append(1) or v / 3.0
+    x, report = bicgstab(lambda v: A @ v, b, apply_M=apply_M, tol=1e-10,
+                         max_iter=500)
+    assert not report.converged
+    assert report.iterations <= 1
+    assert len(calls) <= 2
+    assert np.isnan(report.residual_history[-1])
+
+
+def test_non_finite_operator_output_stops_run():
+    # the operator turns non-finite on its second application (the first
+    # search direction), after a finite initial residual
+    calls = []
+
+    def apply_A(v):
+        calls.append(1)
+        return v * (np.inf if len(calls) > 1 else 2.0)
+
+    b = np.ones(4, dtype=complex)
+    with np.errstate(invalid="ignore"):
+        x, report = bicgstab(apply_A, b, tol=1e-10, max_iter=500)
+    assert not report.converged
+    assert report.iterations == 1
+    assert np.isfinite(report.residual_history[0])
+    assert not np.isfinite(report.residual_history[-1])

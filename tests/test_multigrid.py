@@ -7,6 +7,7 @@ from helmscat import (Grid2D, build_extended_grid, assemble, MgHierarchy,
                       WorkUnitMeter, damped_jacobi, restrict_full_weighting,
                       prolong_bilinear, coarsen_operator, mg_cycle,
                       lfa_symbols, bicgstab, dense_reference_solve)
+from helmscat.helmholtz import HelmholtzOperator, LevelGeometry
 
 
 def _operator(s=17, beta=0.15, abl=4, levels=2, k0=1.5, seed=0):
@@ -177,3 +178,69 @@ def test_lfa_operator_symbol():
 def test_lfa_singular_point():
     with pytest.raises(ZeroDivisionError):
         lfa_symbols(2.0, 0.8, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("sweeps", [0, 1, 2])
+def test_damped_jacobi_zero_guess_matches_zero_array(sweeps):
+    eg, op = _operator()
+    se = eg.points_per_side
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((se, se)) + 1j * rng.standard_normal((se, se))
+    from_zeros = damped_jacobi(op, b, np.zeros_like(b), 0.8, sweeps)
+    from_none = damped_jacobi(op, b, None, 0.8, sweeps)
+    assert from_none.shape == b.shape
+    np.testing.assert_array_equal(from_none, from_zeros)
+
+
+def test_damped_jacobi_leaves_initial_guess_untouched():
+    eg, op = _operator()
+    se = eg.points_per_side
+    rng = np.random.default_rng(6)
+    b = rng.standard_normal((se, se)) + 1j * rng.standard_normal((se, se))
+    v = rng.standard_normal((se, se)) + 1j * rng.standard_normal((se, se))
+    v_before = v.copy()
+    damped_jacobi(op, b, v, 0.8, 2)
+    np.testing.assert_array_equal(v, v_before)
+
+
+@pytest.mark.parametrize("cycle_type", [1, 2])
+def test_mg_cycle_zero_guess_matches_zero_array(cycle_type):
+    eg, op = _operator(s=33, abl=4, levels=3, k0=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        hier = MgHierarchy(op, 3, cycle_type=cycle_type)
+    se = eg.points_per_side
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal((se, se)) + 1j * rng.standard_normal((se, se))
+    from_zeros = mg_cycle(hier, b, np.zeros_like(b))
+    wu_zeros = hier.meter.total
+    from_none = mg_cycle(hier, b, None)
+    assert (np.linalg.norm(from_none - from_zeros)
+            <= 1e-14 * np.linalg.norm(from_zeros))
+    # the zero-guess sweep is metered as a full sweep
+    assert hier.meter.total == pytest.approx(2.0 * wu_zeros)
+
+
+def _zero_diagonal_operator():
+    # h = 1, eta^2 = 1, k0 = 2, beta = 0: interior diagonal 4/h^2 - k0^2 = 0
+    geom = LevelGeometry(5, 1.0, (0.0, 0.0), (0.0, 0.0), (4.0, 4.0), 0.0)
+    return HelmholtzOperator(geom, np.ones((5, 5)), 2.0, 0.0)
+
+
+@pytest.mark.parametrize("v", [None, "zeros"])
+def test_damped_jacobi_zero_diagonal_raises(v):
+    op = _zero_diagonal_operator()
+    assert np.any(op.diagonal() == 0.0)
+    b = np.ones((5, 5), dtype=complex)
+    v0 = np.zeros_like(b) if v == "zeros" else None
+    with pytest.raises(ZeroDivisionError, match="zero diagonal entry"):
+        damped_jacobi(op, b, v0, 0.8, 1)
+
+
+def test_inverse_diagonal_cached_and_read_only():
+    eg, op = _operator()
+    d_inv = op.inverse_diagonal()
+    assert op.inverse_diagonal() is d_inv
+    np.testing.assert_allclose(d_inv * op.diagonal(), 1.0, rtol=1e-15)
+    with pytest.raises(ValueError):
+        d_inv[0, 0] = 0.0

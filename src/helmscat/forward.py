@@ -130,13 +130,13 @@ def sensor_green_operator(grid: Grid2D, sensors: np.ndarray, k0: float,
     """Dense M-by-N map from a source density on the grid to the scattered
     field at the sensors: entry (s, n) = h^2 * g(|x_s - x_n|)."""
     x, y = grid.coords()
-    pts = np.column_stack([x.ravel(), y.ravel()])
     lo = np.array(grid.origin)
     hi = lo + grid.side_length
     inside = np.all((sensors >= lo) & (sensors <= hi), axis=1)
     if np.any(inside):
         raise ValueError("sensors must lie strictly outside the domain")
-    dist = np.linalg.norm(sensors[:, None, :] - pts[None, :, :], axis=2)
+    dist = np.hypot(sensors[:, 0, None] - x.ravel(),
+                    sensors[:, 1, None] - y.ravel())
     return grid.h**2 * green_value(k0 * eta_b, dist)
 
 
@@ -168,19 +168,22 @@ class HelmholtzForward:
         return plane_wave(self._ext_grid, g.directions[view], self.scene.k0,
                           self.scene.eta_b, g.u0)
 
+    def _scattered_from(self, u_in: np.ndarray
+                        ) -> tuple[np.ndarray, SolveReport]:
+        b = self.f_ext * u_in
+        return bicgstab(self.op.apply, b, apply_M=self._precond,
+                        tol=self.cfg.tol, max_iter=self.cfg.max_iter,
+                        work_meter=self.hier.meter)
+
     def scattered_field(self, view: int) -> tuple[np.ndarray, SolveReport]:
         """Scattered field on the extended domain."""
-        u_in = self.incident_extended(view)
-        b = self.f_ext * u_in
-        u_sc, report = bicgstab(self.op.apply, b, apply_M=self._precond,
-                                tol=self.cfg.tol, max_iter=self.cfg.max_iter,
-                                work_meter=self.hier.meter)
-        return u_sc, report
+        return self._scattered_from(self.incident_extended(view))
 
     def total_field(self, view: int) -> tuple[np.ndarray, SolveReport]:
         """Total field on the region of interest."""
-        u_sc, report = self.scattered_field(view)
-        u_tot = restrict_to_roi(u_sc + self.incident_extended(view), self.eg)
+        u_in = self.incident_extended(view)
+        u_sc, report = self._scattered_from(u_in)
+        u_tot = restrict_to_roi(u_sc + u_in, self.eg)
         return u_tot, report
 
     def jvp(self, view: int, v: np.ndarray,

@@ -57,6 +57,7 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
     b_norm = float(np.linalg.norm(b))
     r = b - apply_A(x)
     r_hat = r.copy()
+    r_hat_norm = np.linalg.norm(r_hat)
     rho_prev = 1.0 + 0.0j
     alpha = 1.0 + 0.0j
     sigma = 1.0 + 0.0j
@@ -64,7 +65,7 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
     p = np.zeros_like(b)
 
     report = SolveReport(iterations=0,
-                         residual_history=[float(np.linalg.norm(r))])
+                         residual_history=[float(r_hat_norm)])
     threshold = tol * b_norm
     if not math.isfinite(report.residual_history[0]):
         return x, report
@@ -74,7 +75,7 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
 
     for it in range(1, max_iter + 1):
         rho = _inner(r_hat, r)
-        scale = np.linalg.norm(r_hat) * np.linalg.norm(r)
+        scale = r_hat_norm * np.linalg.norm(r)
         if abs(rho) < BREAKDOWN_TOL * max(scale, 1e-300):
             raise BicgstabBreakdown(f"rho breakdown at iteration {it}")
         beta = (rho / rho_prev) * (alpha / sigma)
@@ -82,7 +83,7 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
         y = apply_M(p)
         v = apply_A(y)
         denom = _inner(r_hat, v)
-        scale = np.linalg.norm(r_hat) * np.linalg.norm(v)
+        scale = r_hat_norm * np.linalg.norm(v)
         if abs(denom) < BREAKDOWN_TOL * max(scale, 1e-300):
             raise BicgstabBreakdown(f"<r0hat, v> breakdown at iteration {it}")
         alpha = rho / denom

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import hankel1
 
 import helmscat as hs
 from helmscat.forward import sensor_green_operator
@@ -63,6 +64,40 @@ def test_sensor_operator_entries():
     from helmscat.lis import green_value
     r = np.hypot(x.ravel() - 10.0, y.ravel())
     np.testing.assert_allclose(G[0], g.h ** 2 * green_value(1.0, r))
+
+
+def test_sensor_operator_matches_hankel1():
+    g = hs.Grid2D(12, 6.0, (-3.0, -2.0))
+    sensors = np.array([[10.0, 0.0], [-7.0, 5.5], [0.3, -9.0]])
+    k0, eta_b = 1.7, 1.2
+    G = sensor_green_operator(g, sensors, k0, eta_b)
+    x, y = g.coords()
+    ref = np.empty((3, 144), dtype=complex)
+    for m, (sx, sy) in enumerate(sensors):
+        r = np.sqrt((sx - x.ravel()) ** 2 + (sy - y.ravel()) ** 2)
+        ref[m] = g.h ** 2 * 0.25j * hankel1(0, k0 * eta_b * r)
+    np.testing.assert_allclose(G, ref, rtol=1e-13)
+
+
+def test_total_field_evaluates_incident_wave_once(monkeypatch):
+    from helmscat import forward
+    scene = _small_scene()
+    cfg = hs.SolverConfig(abl_points=4, beta=0.15, levels=2)
+    s = scene.grid.points_per_side
+    f = np.full((s, s), 0.05)
+    fwd = hs.HelmholtzForward(scene, f, cfg)
+    u_sc, _ = fwd.scattered_field(1)
+    u_ref = hs.restrict_to_roi(u_sc + fwd.incident_extended(1), fwd.eg)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return hs.plane_wave(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "plane_wave", counting)
+    u_tot, _ = fwd.total_field(1)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(u_tot, u_ref)
 
 
 def test_zero_potential_scatters_nothing():

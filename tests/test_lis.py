@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.special import hankel1
 
 from helmscat import (Grid2D, DiskScene, analytic_disk_field, relative_error,
                       sample_green_kernel, apply_green_convolution, solve_lis,
@@ -88,3 +93,53 @@ def test_shape_validation():
         solve_lis(kernel, np.zeros((5, 5)), np.zeros((9, 9)))
     with pytest.raises(ValueError):
         sample_green_kernel(g, 0.0, 1.0)
+
+
+def test_green_value_matches_hankel1():
+    kr = np.logspace(-3, 3, 200)
+    ref = 0.25j * hankel1(0, kr)
+    np.testing.assert_allclose(green_value(1.0, kr), ref, rtol=1e-13)
+    # k scales the argument, and a scalar distance gives a scalar
+    np.testing.assert_allclose(green_value(2.5, kr / 2.5), ref, rtol=1e-13)
+    g = green_value(0.7, 3.0)
+    assert np.ndim(g) == 0
+    assert abs(g - 0.25j * hankel1(0, 2.1)) <= 1e-13 * abs(g)
+
+
+def _padded_fft2_convolution(kernel, w):
+    s = w.shape[0]
+    padded = np.zeros((2 * s, 2 * s), dtype=complex)
+    padded[:s, :s] = w
+    return np.fft.ifft2(np.fft.fft2(padded) * kernel.spectrum)[:s, :s]
+
+
+@pytest.mark.parametrize("s", [16, 17])
+def test_convolution_matches_padded_fft2(s):
+    g = Grid2D(s, 8.0, (-4.0, -4.0))
+    kernel = sample_green_kernel(g, 1.3, 1.0)
+    rng = np.random.default_rng(s)
+    w = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+    w_before = w.copy()
+    out = apply_green_convolution(kernel, w)
+    ref = _padded_fft2_convolution(kernel, w)
+    assert out.shape == (s, s)
+    np.testing.assert_allclose(out, ref, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(ref)))
+    np.testing.assert_array_equal(w, w_before)
+    # a real field is convolved like its complex embedding
+    np.testing.assert_allclose(apply_green_convolution(kernel, w.real),
+                               _padded_fft2_convolution(kernel, w.real),
+                               rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    code = ("import sys, helmscat; "
+            "print('scipy.integrate' in sys.modules)")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "False"

@@ -82,6 +82,8 @@ def _build_eta(cfg, grid: Grid2D) -> np.ndarray:
         eta = io.read_field(cfg.scene_file)
         if np.iscomplexobj(eta) or eta.shape != x.shape:
             raise io.ConfigError("scene_file must be a real field on the grid")
+        if not np.all(np.isfinite(eta)):
+            raise io.ConfigError("scene_file has non-finite values")
     else:
         raise io.ConfigError(f"unknown scene {cfg.scene!r}")
     return eta

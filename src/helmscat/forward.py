@@ -54,6 +54,9 @@ def make_circular_geometry(num_views: int, num_sensors: int,
     sensors uniformly on the same-center circle of ``sensor_radius``.  For
     each view, the ``active_count`` sensors farthest from the source are
     recorded (all of them when None)."""
+    if num_views < 1 or num_sensors < 1:
+        raise ValueError(f"need at least one view and one sensor, got "
+                         f"{num_views} views and {num_sensors} sensors")
     va = 2.0 * np.pi * np.arange(num_views) / num_views
     directions = -np.column_stack([np.cos(va), np.sin(va)])
     sa = 2.0 * np.pi * np.arange(num_sensors) / num_sensors
@@ -168,21 +171,29 @@ class HelmholtzForward:
         return plane_wave(self._ext_grid, g.directions[view], self.scene.k0,
                           self.scene.eta_b, g.u0)
 
-    def _scattered_from(self, u_in: np.ndarray
-                        ) -> tuple[np.ndarray, SolveReport]:
-        b = self.f_ext * u_in
-        return bicgstab(self.op.apply, b, apply_M=self._precond,
+    def _solve(self, b: np.ndarray, x0: np.ndarray | None = None
+               ) -> tuple[np.ndarray, SolveReport]:
+        """MG-preconditioned Bi-CGSTAB for A x = b, started from ``x0``."""
+        return bicgstab(self.op.apply, b, apply_M=self._precond, x0=x0,
                         tol=self.cfg.tol, max_iter=self.cfg.max_iter,
                         work_meter=self.hier.meter)
 
     def scattered_field(self, view: int) -> tuple[np.ndarray, SolveReport]:
         """Scattered field on the extended domain."""
-        return self._scattered_from(self.incident_extended(view))
+        return self._solve(self.f_ext * self.incident_extended(view))
 
-    def total_field(self, view: int) -> tuple[np.ndarray, SolveReport]:
-        """Total field on the region of interest."""
+    def total_field(self, view: int, warm: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, SolveReport]:
+        """Total field on the region of interest.
+
+        ``warm``, an optional complex array on the extended grid, holds a
+        guess of the scattered field (for instance the previous solution
+        at a nearby potential): the solve starts from it and overwrites
+        it with the new scattered field."""
         u_in = self.incident_extended(view)
-        u_sc, report = self._scattered_from(u_in)
+        u_sc, report = self._solve(self.f_ext * u_in, warm)
+        if warm is not None:
+            warm[...] = u_sc
         u_tot = restrict_to_roi(u_sc + u_in, self.eg)
         return u_tot, report
 
@@ -193,24 +204,26 @@ class HelmholtzForward:
         interest): d/dt [G (f + t v) u(f + t v)] at t = 0."""
         u_tot, _ = self.total_field(view)
         rhs = embed_potential((v * u_tot).astype(complex), self.eg)
-        du_ext, report = bicgstab(self.op.apply, rhs, apply_M=self._precond,
-                                  tol=self.cfg.tol,
-                                  max_iter=self.cfg.max_iter,
-                                  work_meter=self.hier.meter)
+        du_ext, report = self._solve(rhs)
         du = restrict_to_roi(du_ext, self.eg)
         mask = self.scene.geometry.active[view]
         dy = g_full[mask] @ (v * u_tot + self.f * du).ravel()
         return dy, report
 
-    def adjoint_solve(self, rhs: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+    def adjoint_solve(self, rhs: np.ndarray, warm: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, SolveReport]:
         """Solve A^H z = rhs on the extended domain.  The operator is
         complex symmetric, so this is a conjugated solve with the same
-        multigrid hierarchy."""
-        x, report = bicgstab(self.op.apply, np.conj(rhs),
-                             apply_M=self._precond, tol=self.cfg.tol,
-                             max_iter=self.cfg.max_iter,
-                             work_meter=self.hier.meter)
-        return np.conj(x), report
+        multigrid hierarchy.
+
+        ``warm``, an optional complex array on the extended grid, holds a
+        guess of z: the solve starts from it and overwrites it with z."""
+        x, report = self._solve(np.conj(rhs),
+                                None if warm is None else np.conj(warm))
+        z = np.conj(x)
+        if warm is not None:
+            warm[...] = z
+        return z, report
 
 
 def _extended_as_grid(eg) -> Grid2D:

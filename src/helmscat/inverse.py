@@ -12,7 +12,7 @@ import numpy as np
 
 from .forward import HelmholtzForward, ScatteringScene, SolverConfig, \
     sensor_green_operator
-from .grid import embed_potential, restrict_to_roi
+from .grid import build_extended_grid, embed_potential, restrict_to_roi
 
 
 @dataclass
@@ -58,13 +58,18 @@ def data_fidelity(scene: ScatteringScene, f: np.ndarray, view: int,
 
 def gradient_data_fidelity(scene: ScatteringScene, f: np.ndarray,
                            subset, measurements, cfg: SolverConfig,
-                           g_full: np.ndarray | None = None
+                           g_full: np.ndarray | None = None,
+                           warm: np.ndarray | None = None
                            ) -> tuple[np.ndarray, float, float]:
     """Summed gradient of the per-view quadratic fidelities over ``subset``
     (fixed ascending view order), plus the subset fidelity value and the
     multigrid work units spent.  ``g_full`` is the scene's sensor operator;
     it does not depend on ``f``, so callers that evaluate many gradients
-    pass it in rather than have it rebuilt on every call.
+    pass it in rather than have it rebuilt on every call.  ``warm``, an
+    optional complex array of shape (2, num_views, se, se) on the extended
+    grid of side se, holds per view the scattered field (``warm[0, q]``)
+    and the adjoint solution (``warm[1, q]``) of an earlier call: the
+    solves start from them and overwrite them.
 
     Per view: r = H(f) - y, w = G^H r on the region of interest, then
     grad += Re(conj(u) * (w + restrict(A^{-H} embed(f * w)))).
@@ -78,16 +83,19 @@ def gradient_data_fidelity(scene: ScatteringScene, f: np.ndarray,
     grad = np.zeros((s, s))
     fidelity = 0.0
     for q in subset:
-        u_tot, rep = fwd.total_field(q)
+        warm_q = (None, None) if warm is None else warm[:, q]
+        u_tot, rep = fwd.total_field(q, warm_q[0])
         if not rep.converged:
             raise RuntimeError(f"forward solve failed for view {q}")
         mask = scene.geometry.active[q]
-        g_active = g_full[mask]
+        # with every sensor active the rows are g_full itself: no copy
+        g_active = g_full if mask.all() else g_full[mask]
         resid = g_active @ (fwd.f * u_tot).ravel() - measurements.views[q]
         fidelity += 0.5 * float(np.linalg.norm(resid)**2)
-        w = (g_active.conj().T @ resid).reshape(s, s)
+        # G^H r as a row-vector product, with no conjugated transpose of G
+        w = np.conj(np.conj(resid) @ g_active).reshape(s, s)
         rhs = embed_potential((fwd.f * w).astype(complex), fwd.eg)
-        z, rep_adj = fwd.adjoint_solve(rhs)
+        z, rep_adj = fwd.adjoint_solve(rhs, warm_q[1])
         if not rep_adj.converged:
             raise RuntimeError(f"adjoint solve failed for view {q}")
         grad += np.real(np.conj(u_tot) * (w + restrict_to_roi(z, fwd.eg)))
@@ -188,12 +196,19 @@ def reconstruct_fbs(measurements, scene: ScatteringScene,
     t0 = time.perf_counter()
     g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
                                    scene.k0, scene.eta_b)
+    # one block of warm starts: late iterates barely move, so each view's
+    # previous forward and adjoint solutions are good initial guesses
+    se = build_extended_grid(scene.grid, config.solver.abl_points,
+                             config.solver.beta,
+                             config.solver.levels).points_per_side
+    warm = np.zeros((2, scene.geometry.num_views, se, se), dtype=complex)
     work = 0.0
     for _ in range(config.iterations):
         subset = select_subset(rng, scene.geometry.num_views,
                                config.subset_size)
         grad, fidelity, wu = gradient_data_fidelity(
-            scene, f_bar, subset, measurements, config.solver, g_full=g_full)
+            scene, f_bar, subset, measurements, config.solver, g_full=g_full,
+            warm=warm)
         f_new = tv_prox(f_bar - config.gamma * grad,
                         config.gamma * config.tau,
                         config.inner_prox_iterations)

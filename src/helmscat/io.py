@@ -156,18 +156,43 @@ def write_measurements_csv(path: str | Path, geometry, views: list[np.ndarray]):
 
 
 def read_measurements_csv(path: str | Path, geometry):
+    """Inverse of :func:`write_measurements_csv`.  Raises ``ValueError``
+    on a missing column, an unparsable value, a view or sensor index out
+    of range, a row for a sensor that is not active in its view, a
+    duplicate row, or a missing active sensor."""
     from .forward import MeasurementSet
-    per_view = {q: {} for q in range(geometry.num_views)}
+    num_views, num_sensors = geometry.active.shape
+    per_view = {q: {} for q in range(num_views)}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = {"view", "sensor", "re", "im"} - set(reader.fieldnames or [])
+        if missing:
+            raise ValueError(f"{path}: missing columns {sorted(missing)}")
         for row in reader:
-            q = int(row["view"])
-            per_view[q][int(row["sensor"])] = (
-                float(row["re"]) + 1j * float(row["im"]))
+            ln = reader.line_num
+            try:
+                q, sid = int(row["view"]), int(row["sensor"])
+                val = float(row["re"]) + 1j * float(row["im"])
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}, line {ln}: cannot parse "
+                                 f"{list(row.values())}") from None
+            if not 0 <= q < num_views:
+                raise ValueError(f"{path}, line {ln}: view {q} out of range "
+                                 f"[0, {num_views})")
+            if not 0 <= sid < num_sensors:
+                raise ValueError(f"{path}, line {ln}: sensor {sid} out of "
+                                 f"range [0, {num_sensors})")
+            if not geometry.active[q, sid]:
+                raise ValueError(f"{path}, line {ln}: sensor {sid} is not "
+                                 f"active in view {q}")
+            if sid in per_view[q]:
+                raise ValueError(f"{path}, line {ln}: duplicate row for "
+                                 f"view {q}, sensor {sid}")
+            per_view[q][sid] = val
     views = []
-    for q in range(geometry.num_views):
+    for q in range(num_views):
         sensor_ids = np.flatnonzero(geometry.active[q])
-        missing = [s for s in sensor_ids if s not in per_view[q]]
+        missing = [int(s) for s in sensor_ids if s not in per_view[q]]
         if missing:
             raise ValueError(f"view {q}: missing sensors {missing[:5]}")
         views.append(np.array([per_view[q][s] for s in sensor_ids]))

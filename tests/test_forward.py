@@ -169,3 +169,69 @@ def test_potential_lower_bound_checked():
 def test_measurement_set_rejects_nonfinite():
     with pytest.raises(ValueError):
         hs.MeasurementSet([np.array([1.0, np.nan])])
+
+
+def _warm_problem():
+    scene = _small_scene()
+    k0 = scene.k0
+    x, y = scene.grid.coords()
+    f = np.where(np.hypot(x, y) <= 5.0, k0 ** 2 * 0.3, 0.0)
+    cfg = hs.SolverConfig(abl_points=4, beta=0.15, levels=2, tol=1e-10)
+    return scene, f, cfg
+
+
+def test_warm_total_field_matches_cold_and_fills_buffer():
+    scene, f, cfg = _warm_problem()
+    cold = hs.HelmholtzForward(scene, f, cfg)
+    u_cold, rep_cold = cold.total_field(1)
+    # the guess: the exact solution at a nearby potential
+    near = hs.HelmholtzForward(scene, 0.9 * f, cfg)
+    warm = near.scattered_field(1)[0]
+    u_warm, rep_warm = cold.total_field(1, warm)
+    assert rep_warm.converged
+    assert rep_warm.iterations < rep_cold.iterations
+    assert np.linalg.norm(u_warm - u_cold) <= 1e-8 * np.linalg.norm(u_cold)
+    # the buffer now holds the new scattered field on the extended grid
+    u_in = cold.incident_extended(1)
+    np.testing.assert_array_equal(
+        hs.restrict_to_roi(warm + u_in, cold.eg), u_warm)
+    res = cold.op.apply(warm) - cold.f_ext * u_in
+    assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(cold.f_ext * u_in)
+
+
+def test_warm_adjoint_solve_matches_cold_and_fills_buffer():
+    scene, f, cfg = _warm_problem()
+    fwd = hs.HelmholtzForward(scene, f, cfg)
+    se = fwd.eg.points_per_side
+    rng = np.random.default_rng(1)
+    rhs = rng.standard_normal((se, se)) + 1j * rng.standard_normal((se, se))
+    z_cold, rep_cold = fwd.adjoint_solve(rhs)
+    noise = rng.standard_normal((se, se))
+    warm = z_cold + 1e-3 * np.abs(z_cold).max() * noise
+    z_warm, rep_warm = fwd.adjoint_solve(rhs, warm)
+    assert rep_warm.converged
+    assert rep_warm.iterations < rep_cold.iterations
+    assert np.linalg.norm(z_warm - z_cold) <= 1e-8 * np.linalg.norm(z_cold)
+    np.testing.assert_array_equal(warm, z_warm)
+    res = fwd.op.apply_adjoint(warm) - rhs
+    assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(rhs)
+
+
+def test_zero_warm_buffer_equals_cold_start():
+    scene, f, cfg = _warm_problem()
+    fwd = hs.HelmholtzForward(scene, f, cfg)
+    se = fwd.eg.points_per_side
+    u_cold, rep_cold = fwd.total_field(0)
+    u_warm, rep_warm = fwd.total_field(0, np.zeros((se, se), complex))
+    np.testing.assert_array_equal(u_warm, u_cold)
+    assert rep_warm.residual_history == rep_cold.residual_history
+    rhs = hs.embed_potential(f.astype(complex), fwd.eg)
+    z_cold, _ = fwd.adjoint_solve(rhs)
+    z_warm, _ = fwd.adjoint_solve(rhs, np.zeros((se, se), complex))
+    np.testing.assert_array_equal(z_warm, z_cold)
+
+
+@pytest.mark.parametrize("views, sensors", [(0, 8), (2, 0), (-1, 8)])
+def test_geometry_rejects_empty_counts(views, sensors):
+    with pytest.raises(ValueError, match="at least one view"):
+        hs.make_circular_geometry(views, sensors, 40.0, 10.0)

@@ -117,10 +117,11 @@ def test_config_validation():
                                 subset_size=0)
 
 
-def _toy_problem():
+def _toy_problem(active_count=None):
     lam = 10.0
     g = hs.Grid2D(17, 16.0, (-8.0, -8.0))
-    geom = hs.make_circular_geometry(3, 10, 40.0, lam)
+    geom = hs.make_circular_geometry(3, 10, 40.0, lam,
+                                     active_count=active_count)
     scene = hs.ScatteringScene(g, 1.0, geom)
     cfg = hs.SolverConfig(abl_points=4, beta=0.0, levels=2, tol=1e-8)
     k0 = scene.k0
@@ -203,3 +204,94 @@ def test_reconstruction_builds_sensor_operator_once(monkeypatch):
     assert len(calls) == 1
     f2, _ = hs.reconstruct_fbs(ms, scene, rc)
     np.testing.assert_array_equal(f1, f2)
+
+
+def _row_copy_gradient(scene, f, subset, ms, cfg, g_full):
+    """The gradient as first written: a copy of the active rows of G and
+    the product with its conjugated transpose, from cold starts."""
+    fwd = hs.HelmholtzForward(scene, f, cfg)
+    s = scene.grid.points_per_side
+    grad = np.zeros((s, s))
+    fidelity = 0.0
+    for q in sorted(subset):
+        u_tot, _ = fwd.total_field(q)
+        g_active = g_full[scene.geometry.active[q]]
+        resid = g_active @ (fwd.f * u_tot).ravel() - ms.views[q]
+        fidelity += 0.5 * float(np.linalg.norm(resid) ** 2)
+        w = (g_active.conj().T @ resid).reshape(s, s)
+        rhs = hs.embed_potential((fwd.f * w).astype(complex), fwd.eg)
+        z, _ = fwd.adjoint_solve(rhs)
+        grad += np.real(np.conj(u_tot) * (w + hs.restrict_to_roi(z, fwd.eg)))
+    return grad, fidelity
+
+
+@pytest.mark.parametrize("active_count", [None, 6])
+def test_gradient_matches_row_copy_expression(active_count):
+    scene, cfg, f_true, ms = _toy_problem(active_count)
+    assert ms.views[0].size == (active_count or 10)
+    g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
+                                   scene.k0, scene.eta_b)
+    f = 0.5 * f_true
+    grad, fid, _ = hs.gradient_data_fidelity(scene, f, [2, 0], ms, cfg,
+                                             g_full=g_full)
+    grad_ref, fid_ref = _row_copy_gradient(scene, f, [2, 0], ms, cfg, g_full)
+    np.testing.assert_array_equal(grad, grad_ref)
+    assert fid == fid_ref
+
+
+def test_gradient_warm_buffers_match_cold_and_hold_solutions():
+    scene, cfg, f_true, ms = _toy_problem()
+    f = 0.5 * f_true
+    fwd = hs.HelmholtzForward(scene, f, cfg)
+    se = fwd.eg.points_per_side
+    warm = np.zeros((2, 3, se, se), dtype=complex)
+    grad0, fid0, _ = hs.gradient_data_fidelity(scene, 0.45 * f_true, [0, 2],
+                                               ms, cfg, warm=warm)
+    assert np.all(warm[:, 1] == 0.0)       # view 1 is not in the subset
+    grad_cold, fid_cold, wu_cold = hs.gradient_data_fidelity(
+        scene, f, [0, 2], ms, cfg)
+    grad_warm, fid_warm, wu_warm = hs.gradient_data_fidelity(
+        scene, f, [0, 2], ms, cfg, warm=warm)
+    assert wu_warm < wu_cold
+    scale = np.abs(grad_cold).max()
+    assert np.abs(grad_warm - grad_cold).max() <= 1e-6 * scale
+    assert fid_warm == pytest.approx(fid_cold, rel=1e-6)
+    # the forward buffers hold the scattered fields at f
+    for q in (0, 2):
+        u_sc, _ = fwd.scattered_field(q)
+        assert np.linalg.norm(warm[0, q] - u_sc) \
+            <= 1e-6 * np.linalg.norm(u_sc)
+
+
+def test_reconstruction_threads_one_warm_block(monkeypatch):
+    import helmscat.inverse as inverse
+    scene, cfg, f_true, ms = _toy_problem()
+    seen = []
+
+    def recording(*args, warm=None, **kwargs):
+        seen.append(warm)
+        return hs.gradient_data_fidelity(*args, warm=warm, **kwargs)
+
+    monkeypatch.setattr(inverse, "gradient_data_fidelity", recording)
+    rc = hs.ReconstructionConfig(gamma=0.05, tau=1e-4, iterations=3,
+                                 subset_size=2, seed=1, solver=cfg)
+    hs.reconstruct_fbs(ms, scene, rc)
+    se = hs.build_extended_grid(scene.grid, cfg.abl_points, cfg.beta,
+                                cfg.levels).points_per_side
+    assert len(seen) == 3
+    assert all(w is seen[0] for w in seen)
+    assert seen[0].shape == (2, 3, se, se)
+    assert seen[0].dtype == complex
+
+
+def test_reconstruction_runs_bit_identical():
+    scene, cfg, f_true, ms = _toy_problem()
+    eta_true = hs.eta_from_potential(f_true, 1.0, scene.k0)
+    rc = hs.ReconstructionConfig(gamma=0.05, tau=1e-4, iterations=6,
+                                 subset_size=2, seed=4, solver=cfg)
+    f1, h1 = hs.reconstruct_fbs(ms, scene, rc, eta_true=eta_true)
+    f2, h2 = hs.reconstruct_fbs(ms, scene, rc, eta_true=eta_true)
+    np.testing.assert_array_equal(f1, f2)
+    assert h1.objective == h2.objective
+    assert h1.snr_db == h2.snr_db
+    assert h1.work_units == h2.work_units

@@ -290,3 +290,85 @@ def test_scene_file(tmp_path):
     out = tmp_path / "fout"
     assert main(["simulate", "--config", str(cfg),
                  "--out-dir", str(out)]) == 0
+
+
+# ---------- malformed inputs: exit 2 with a one-line message ----------
+
+def _assert_input_error(capsys, argv, needle):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def _reconstruct_with_rows(tmp_path, edit):
+    sim = _write(tmp_path, SIM)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(sim),
+                 "--out-dir", str(out)]) == 0
+    meas = out / "measurements.csv"
+    lines = meas.read_text().splitlines()
+    meas.write_text("\n".join(edit(lines)) + "\n")
+    rec = _reconstruct_cfg(tmp_path, meas, 1)
+    return ["reconstruct", "--config", str(rec),
+            "--out-dir", str(tmp_path / "rout")]
+
+
+def test_measurements_view_out_of_range(tmp_path, capsys):
+    argv = _reconstruct_with_rows(
+        tmp_path, lambda lines: lines + ["2,0,1.0,0.0"])
+    _assert_input_error(capsys, argv, "view 2 out of range")
+
+
+def test_measurements_sensor_out_of_range(tmp_path, capsys):
+    argv = _reconstruct_with_rows(
+        tmp_path, lambda lines: lines + ["0,8,1.0,0.0"])
+    _assert_input_error(capsys, argv, "sensor 8 out of range")
+
+
+def test_measurements_duplicate_row(tmp_path, capsys):
+    argv = _reconstruct_with_rows(tmp_path, lambda lines: lines + [lines[3]])
+    _assert_input_error(capsys, argv, "duplicate row")
+
+
+def test_measurements_missing_row(tmp_path, capsys):
+    # lines[1] is view 0, sensor 0
+    argv = _reconstruct_with_rows(tmp_path,
+                                  lambda lines: lines[:1] + lines[2:])
+    _assert_input_error(capsys, argv, "view 0: missing sensors [0]")
+
+
+def test_measurements_unparsable_row(tmp_path, capsys):
+    argv = _reconstruct_with_rows(tmp_path, lambda lines: lines + ["1,2"])
+    _assert_input_error(capsys, argv, "cannot parse")
+
+
+def test_measurements_inactive_sensor(tmp_path):
+    import helmscat as hs
+    path = tmp_path / "m.csv"
+    path.write_text("view,sensor,re,im\n0,0,1.0,0.0\n")
+    geom = hs.make_circular_geometry(1, 4, 40.0, 10.0, active_count=2)
+    assert not geom.active[0, 0]
+    with pytest.raises(ValueError, match="not active"):
+        io.read_measurements_csv(path, geom)
+
+
+def test_scene_file_non_finite(tmp_path, capsys):
+    eta = np.ones((17, 17))
+    eta[8, 8] = np.nan
+    io.write_field(tmp_path / "eta_nan.hsf", eta)
+    cfg = _write(tmp_path, SIM.replace("scene = disk", "scene = file")
+                 + f"scene_file = {tmp_path / 'eta_nan.hsf'}\n")
+    _assert_input_error(capsys, ["simulate", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "nout")],
+                        "non-finite")
+
+
+@pytest.mark.parametrize("line", ["num_views = 2", "num_sensors = 8"])
+def test_counts_below_one(tmp_path, capsys, line):
+    assert line in SIM
+    cfg = _write(tmp_path, SIM.replace(line, line[:-1] + "0"))
+    _assert_input_error(capsys, ["simulate", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "cout")],
+                        "at least one view and one sensor")

@@ -143,3 +143,43 @@ def test_import_leaves_scipy_integrate_unloaded():
                          capture_output=True, text=True, check=True,
                          timeout=120)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("kh", np.geomspace(0.04, 12.6, 9))
+def test_singular_cell_matches_adaptive_quadrature(kh):
+    from scipy.integrate import quad
+    from scipy.special import j1, y1
+    h = 0.25
+    k = kh / h
+
+    def radius(theta):
+        return 0.5 * h / np.cos(theta)
+
+    def re_part(theta):
+        R = radius(theta)
+        return -0.25 * (R * y1(k * R) / k + 2.0 / (np.pi * k ** 2))
+
+    def im_part(theta):
+        R = radius(theta)
+        return 0.25 * R * j1(k * R) / k
+
+    re, _ = quad(re_part, 0.0, np.pi / 4.0, epsabs=1e-15, epsrel=1e-14)
+    im, _ = quad(im_part, 0.0, np.pi / 4.0, epsabs=1e-15, epsrel=1e-14)
+    ref = 8.0 * (re + 1j * im)
+    assert abs(_singular_cell_integral(k, h) - ref) <= 1e-12 * abs(ref)
+
+
+def test_kernel_build_leaves_scipy_integrate_unloaded():
+    code = ("import sys, helmscat; "
+            "helmscat.sample_green_kernel(helmscat.Grid2D(9, 4.0, "
+            "(-2.0, -2.0)), 1.3, 1.0); "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -244,3 +244,25 @@ def test_inverse_diagonal_cached_and_read_only():
     np.testing.assert_allclose(d_inv * op.diagonal(), 1.0, rtol=1e-15)
     with pytest.raises(ValueError):
         d_inv[0, 0] = 0.0
+
+
+def test_coarsest_solve_accurate_at_high_contrast():
+    # criterion 1's 3-level hierarchy (321^2 extended, coarsest 81^2) with
+    # permittivity contrast 4 inside the disk: the sparse LU must keep
+    # partial pivoting, which a pivot-free factorization loses (~1e-11)
+    g = Grid2D(256, 31.875, (-15.9375, -15.9375))
+    eg = build_extended_grid(g, 32, 0.15, 3)
+    se = eg.points_per_side
+    x = (np.arange(se) - se // 2) * eg.h
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    eta_sq = np.where(np.hypot(xx, yy) <= 12.5, 5.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        hier = MgHierarchy(assemble(eg, eta_sq, 2.0 * np.pi / 10.0, 0.15), 3)
+    coarsest = hier.levels[-1]
+    assert coarsest.side == 81
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal((81, 81)) + 1j * rng.standard_normal((81, 81))
+    v = hier.coarsest_solve(b)
+    res = np.linalg.norm(coarsest.apply(v) - b) / np.linalg.norm(b)
+    assert res <= 1e-12

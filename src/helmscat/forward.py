@@ -15,6 +15,14 @@ from .krylov import SolveReport, bicgstab
 from .lis import GreenKernel, green_value, sample_green_kernel, solve_lis
 from .multigrid import MgHierarchy
 
+# Extended grids with at most this many unknowns are solved with one sparse
+# LU of the whole operator, a one-level hierarchy, instead of multigrid.
+# The LU is faster at every size measured up to 321^2, but its fill grows
+# faster than the grid, so memory sets the limit: 81^2 is the coarsest grid
+# of the 3-level 321^2 hierarchy, and the direct path never holds a larger
+# factor than multigrid does there.
+_DIRECT_MAX_UNKNOWNS = 81 * 81
+
 
 @dataclass(frozen=True)
 class AcquisitionGeometry:
@@ -57,6 +65,9 @@ def make_circular_geometry(num_views: int, num_sensors: int,
     if num_views < 1 or num_sensors < 1:
         raise ValueError(f"need at least one view and one sensor, got "
                          f"{num_views} views and {num_sensors} sensors")
+    if active_count is not None and not 1 <= active_count <= num_sensors:
+        raise ValueError(f"active sensor count {active_count} out of range "
+                         f"[1, {num_sensors}]")
     va = 2.0 * np.pi * np.arange(num_views) / num_views
     directions = -np.column_stack([np.cos(va), np.sin(va)])
     sa = 2.0 * np.pi * np.arange(num_sensors) / num_sensors
@@ -160,8 +171,11 @@ class HelmholtzForward:
         self.f_ext = embed_potential(self.f, self.eg)
         eta_sq = scene.eta_b**2 + self.f_ext / k0**2
         self.op = assemble(self.eg, eta_sq, k0, cfg.beta)
-        self.hier = MgHierarchy(self.op, cfg.levels, cfg.nu1, cfg.nu2,
-                                cfg.omega, cfg.cycle_type)
+        # one level: the "cycle" is the exact coarsest solve of the whole
+        # operator, and Bi-CGSTAB converges in one iteration
+        small = self.eg.points_per_side**2 <= _DIRECT_MAX_UNKNOWNS
+        self.hier = MgHierarchy(self.op, 1 if small else cfg.levels, cfg.nu1,
+                                cfg.nu2, cfg.omega, cfg.cycle_type)
         self._precond = self.hier.as_preconditioner()
         ext_grid_like = _extended_as_grid(self.eg)
         self._ext_grid = ext_grid_like
@@ -173,7 +187,8 @@ class HelmholtzForward:
 
     def _solve(self, b: np.ndarray, x0: np.ndarray | None = None
                ) -> tuple[np.ndarray, SolveReport]:
-        """MG-preconditioned Bi-CGSTAB for A x = b, started from ``x0``."""
+        """Bi-CGSTAB for A x = b, started from ``x0`` and preconditioned by
+        the hierarchy (multigrid, or on small grids the exact LU)."""
         return bicgstab(self.op.apply, b, apply_M=self._precond, x0=x0,
                         tol=self.cfg.tol, max_iter=self.cfg.max_iter,
                         work_meter=self.hier.meter)
@@ -232,28 +247,33 @@ def _extended_as_grid(eg) -> Grid2D:
 
 
 def _predict(scene: ScatteringScene, f: np.ndarray, u_total: np.ndarray,
-             view: int, g_full: np.ndarray) -> np.ndarray:
+             view: int, g_full: np.ndarray | None) -> np.ndarray:
+    if g_full is None:
+        g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
+                                       scene.k0, scene.eta_b)
     mask = scene.geometry.active[view]
     return g_full[mask] @ (f * u_total).ravel()
 
 
 def forward_mgh(scene: ScatteringScene, f: np.ndarray, view: int,
-                cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
+                cfg: SolverConfig, g_full: np.ndarray | None = None
+                ) -> tuple[np.ndarray, SolveReport]:
     """Predicted scattered-field measurements for one view with the
-    multigrid-preconditioned Helmholtz model."""
+    multigrid-preconditioned Helmholtz model.  ``g_full`` is the scene's
+    sensor operator, built here when not given."""
     fwd = HelmholtzForward(scene, f, cfg)
     u_tot, report = fwd.total_field(view)
-    g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
-                                   scene.k0, scene.eta_b)
     return _predict(scene, fwd.f, u_tot, view, g_full), report
 
 
 def forward_lis(scene: ScatteringScene, f: np.ndarray, view: int,
                 cfg: SolverConfig,
-                kernel: GreenKernel | None = None
+                kernel: GreenKernel | None = None,
+                g_full: np.ndarray | None = None
                 ) -> tuple[np.ndarray, SolveReport]:
     """Predicted scattered-field measurements for one view with the
-    Lippmann-Schwinger model."""
+    Lippmann-Schwinger model.  ``kernel`` and the sensor operator
+    ``g_full`` are built here when not given."""
     if kernel is None:
         kernel = sample_green_kernel(scene.grid, scene.k0, scene.eta_b)
     g = scene.geometry
@@ -261,6 +281,4 @@ def forward_lis(scene: ScatteringScene, f: np.ndarray, view: int,
                       g.u0)
     u_tot, report = solve_lis(kernel, f, u_in, tol=cfg.tol,
                               max_iter=cfg.max_iter)
-    g_full = sensor_green_operator(scene.grid, g.sensors, scene.k0,
-                                   scene.eta_b)
     return _predict(scene, np.asarray(f, float), u_tot, view, g_full), report

@@ -145,7 +145,17 @@ def _fmt(x) -> str:
 
 
 def write_measurements_csv(path: str | Path, geometry, views: list[np.ndarray]):
-    """One row per active sensor per view, header view,sensor,re,im."""
+    """One row per active sensor per view, header view,sensor,re,im.
+    Raises ``ValueError``, before the file is opened, when the number of
+    views or a view's number of values does not match the geometry."""
+    if len(views) != geometry.num_views:
+        raise ValueError(f"{len(views)} measurement views for a geometry "
+                         f"of {geometry.num_views}")
+    for q, y in enumerate(views):
+        count = int(np.count_nonzero(geometry.active[q]))
+        if len(y) != count:
+            raise ValueError(f"view {q}: {len(y)} values for {count} "
+                             f"active sensors")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["view", "sensor", "re", "im"])

@@ -8,6 +8,16 @@ rounding.  A value already set in the environment is kept.
 
 import os
 
+import pytest
+
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+
+@pytest.fixture
+def multigrid_path(monkeypatch):
+    """Solves every grid with multigrid-preconditioned Bi-CGSTAB, for tests
+    of multigrid behaviour on grids small enough for the direct LU path."""
+    from helmscat import forward
+    monkeypatch.setattr(forward, "_DIRECT_MAX_UNKNOWNS", 0)

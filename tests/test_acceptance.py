@@ -120,8 +120,10 @@ def test_criterion_2_contrast_robustness(fig4_grid, fig4_kernel):
                f"grid iters {it_mgh}, integral iters {it_lis}")
 
 
-def test_criterion_3_dense_equivalence():
-    """Iterative solutions vs dense direct solves on a small grid."""
+def test_criterion_3_dense_equivalence(multigrid_path, monkeypatch):
+    """Iterative solutions vs dense direct solves on a small grid: the
+    multigrid-preconditioned solve (forced by ``multigrid_path``) and the
+    sparse-LU path this grid size takes by default."""
     g = hs.Grid2D(33, 16.0, (-8.0, -8.0))
     f = _disk_potential(g, 5.0, 1.3)
     geom = hs.make_circular_geometry(1, 4, 40.0, LAM)
@@ -134,6 +136,11 @@ def test_criterion_3_dense_equivalence():
     u_dense = hs.dense_reference_solve(fwd.op, b)
     rel_mgh = (np.linalg.norm(u_sc - u_dense)
                / np.linalg.norm(u_dense))
+    monkeypatch.undo()                  # back to the default selection
+    fwd_lu = hs.HelmholtzForward(scene, f, cfg)
+    u_lu, _ = fwd_lu.scattered_field(0)
+    rel_lu = np.linalg.norm(u_lu - u_dense) / np.linalg.norm(u_dense)
+    levels_ok = len(fwd.hier.levels) == 2 and len(fwd_lu.hier.levels) == 1
 
     kernel = hs.sample_green_kernel(g, K0, 1.0)
     u_in = hs.plane_wave(g, geom.directions[0], K0, 1.0)
@@ -149,9 +156,11 @@ def test_criterion_3_dense_equivalence():
     u_lis_dense = np.linalg.solve(A, u_in.ravel()).reshape(s, s)
     rel_lis = (np.linalg.norm(u_lis - u_lis_dense)
                / np.linalg.norm(u_lis_dense))
-    ok = rel_mgh <= 1e-5 and rel_lis <= 1e-5
+    ok = rel_mgh <= 1e-5 and rel_lu <= 1e-5 and rel_lis <= 1e-5 \
+        and levels_ok
     _criterion(3, "iterative vs dense direct solves", ok,
-               f"grid {rel_mgh:.2e}, integral {rel_lis:.2e}")
+               f"grid {rel_mgh:.2e}, grid LU {rel_lu:.2e}, "
+               f"integral {rel_lis:.2e}")
 
 
 def test_criterion_4_gradient_and_jvp():

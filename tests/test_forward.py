@@ -180,6 +180,7 @@ def _warm_problem():
     return scene, f, cfg
 
 
+@pytest.mark.usefixtures("multigrid_path")
 def test_warm_total_field_matches_cold_and_fills_buffer():
     scene, f, cfg = _warm_problem()
     cold = hs.HelmholtzForward(scene, f, cfg)
@@ -199,6 +200,7 @@ def test_warm_total_field_matches_cold_and_fills_buffer():
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(cold.f_ext * u_in)
 
 
+@pytest.mark.usefixtures("multigrid_path")
 def test_warm_adjoint_solve_matches_cold_and_fills_buffer():
     scene, f, cfg = _warm_problem()
     fwd = hs.HelmholtzForward(scene, f, cfg)
@@ -235,3 +237,90 @@ def test_zero_warm_buffer_equals_cold_start():
 def test_geometry_rejects_empty_counts(views, sensors):
     with pytest.raises(ValueError, match="at least one view"):
         hs.make_circular_geometry(views, sensors, 40.0, 10.0)
+
+
+@pytest.mark.parametrize("active", [0, -1, 9])
+def test_geometry_rejects_active_count_out_of_range(active):
+    with pytest.raises(ValueError, match="active sensor count"):
+        hs.make_circular_geometry(2, 8, 40.0, 10.0, active_count=active)
+
+
+def test_geometry_accepts_every_sensor_active():
+    geom = hs.make_circular_geometry(2, 8, 40.0, 10.0, active_count=8)
+    assert geom.active.all()
+
+
+def test_forward_models_use_given_sensor_operator(monkeypatch):
+    from helmscat import forward
+    scene = _small_scene()
+    k0 = scene.k0
+    x, y = scene.grid.coords()
+    f = np.where(np.hypot(x, y) <= 5.0, k0 ** 2 * (1.2 ** 2 - 1.0), 0.0)
+    cfg = hs.SolverConfig(abl_points=4, beta=0.15, levels=2)
+    g_full = sensor_green_operator(scene.grid, scene.geometry.sensors, k0,
+                                   scene.eta_b)
+    kernel = hs.sample_green_kernel(scene.grid, k0, scene.eta_b)
+    y_mgh, _ = hs.forward_mgh(scene, f, 1, cfg)
+    y_lis, _ = hs.forward_lis(scene, f, 1, cfg, kernel)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("sensor operator rebuilt")
+
+    monkeypatch.setattr(forward, "sensor_green_operator", unexpected)
+    y_mgh_g, _ = hs.forward_mgh(scene, f, 1, cfg, g_full=g_full)
+    y_lis_g, _ = hs.forward_lis(scene, f, 1, cfg, kernel, g_full=g_full)
+    np.testing.assert_array_equal(y_mgh_g, y_mgh)
+    np.testing.assert_array_equal(y_lis_g, y_lis)
+
+
+def _reconstruct_64_scene():
+    """The reconstruction scene of criterion 7: 64^2, ABL 4, 73^2 extended
+    grid, index-1.1 disk."""
+    side = 255 * 0.125
+    g = hs.Grid2D(64, side, (-side / 2.0, -side / 2.0))
+    scene = hs.ScatteringScene(g, 1.0,
+                               hs.make_circular_geometry(8, 40, 40.0, 10.0))
+    x, y = g.coords()
+    f = np.where(np.hypot(x, y) <= 6.0, scene.k0 ** 2 * (1.1 ** 2 - 1.0), 0.0)
+    return scene, f
+
+
+def test_small_grid_solves_with_one_lu(monkeypatch):
+    from helmscat import forward
+    scene, f = _reconstruct_64_scene()
+    cfg = hs.SolverConfig(abl_points=4, beta=0.0, levels=2, tol=1e-10)
+    fwd = hs.HelmholtzForward(scene, f, cfg)
+    assert fwd.eg.points_per_side == 73
+    assert len(fwd.hier.levels) == 1
+    u, rep = fwd.total_field(3)
+    assert rep.converged and rep.iterations == 1 and rep.work_units == 0.0
+    monkeypatch.setattr(forward, "_DIRECT_MAX_UNKNOWNS", 0)
+    fwd_mg = hs.HelmholtzForward(scene, f, cfg)
+    assert len(fwd_mg.hier.levels) == 2
+    u_mg, rep_mg = fwd_mg.total_field(3)
+    assert rep_mg.converged and rep_mg.iterations > 1
+    assert rep_mg.work_units > 0.0
+    assert np.linalg.norm(u - u_mg) <= 1e-8 * np.linalg.norm(u_mg)
+
+
+def test_large_grid_keeps_multigrid_levels():
+    s, h = 256, 0.125
+    side = (s - 1) * h
+    g = hs.Grid2D(s, side, (-side / 2.0, -side / 2.0))
+    scene = hs.ScatteringScene(g, 1.0,
+                               hs.make_circular_geometry(1, 4, 100.0, 10.0))
+    cfg = hs.SolverConfig(abl_points=32, beta=0.15, levels=3)
+    fwd = hs.HelmholtzForward(scene, np.zeros((s, s)), cfg)
+    assert fwd.eg.points_per_side == 321
+    assert [op.side for op in fwd.hier.levels] == [321, 161, 81]
+
+
+def test_direct_path_stops_on_nan_rhs():
+    scene, f = _reconstruct_64_scene()
+    cfg = hs.SolverConfig(abl_points=4, beta=0.0, levels=2)
+    fwd = hs.HelmholtzForward(scene, f, cfg)
+    assert len(fwd.hier.levels) == 1
+    rhs = np.ones((73, 73), dtype=complex)
+    rhs[10, 20] = np.nan
+    _, rep = fwd.adjoint_solve(rhs)
+    assert not rep.converged

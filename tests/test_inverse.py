@@ -239,6 +239,7 @@ def test_gradient_matches_row_copy_expression(active_count):
     assert fid == fid_ref
 
 
+@pytest.mark.usefixtures("multigrid_path")
 def test_gradient_warm_buffers_match_cold_and_hold_solutions():
     scene, cfg, f_true, ms = _toy_problem()
     f = 0.5 * f_true

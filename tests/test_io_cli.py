@@ -176,6 +176,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("multigrid_path")
 def test_solver_failure_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, SIM + "solver_max_iter = 1\nsolver_tol = 1e-14\n")
     out = tmp_path / "out"
@@ -372,3 +373,31 @@ def test_counts_below_one(tmp_path, capsys, line):
     _assert_input_error(capsys, ["simulate", "--config", str(cfg),
                                  "--out-dir", str(tmp_path / "cout")],
                         "at least one view and one sensor")
+
+
+@pytest.mark.parametrize("lengths", [(3, 4), (4, 6)])
+def test_write_measurements_rejects_wrong_view_length(tmp_path, lengths):
+    import helmscat as hs
+    geom = hs.make_circular_geometry(2, 8, 40.0, 10.0, active_count=4)
+    views = [np.ones(n, dtype=complex) for n in lengths]
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="values for 4 active sensors"):
+        io.write_measurements_csv(path, geom, views)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_write_measurements_rejects_wrong_view_count(tmp_path, count):
+    import helmscat as hs
+    geom = hs.make_circular_geometry(2, 8, 40.0, 10.0, active_count=4)
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="measurement views"):
+        io.write_measurements_csv(path, geom, [np.ones(4)] * count)
+    assert not path.exists()
+
+
+def test_active_sensors_above_num_sensors(tmp_path, capsys):
+    cfg = _write(tmp_path, SIM + "active_sensors = 9\n")
+    _assert_input_error(capsys, ["simulate", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "aout")],
+                        "active sensor count 9 out of range [1, 8]")

@@ -14,19 +14,20 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .forward import (HelmholtzForward, ScatteringScene, SolverConfig,
-                      forward_lis, make_circular_geometry,
-                      sensor_green_operator)
+from .forward import (HelmholtzForward, LisForward, ScatteringScene,
+                      SolverConfig, make_circular_geometry)
 from .grid import Grid2D
 from .inverse import (ReconstructionConfig, eta_from_potential,
                       reconstruct_fbs)
 from .krylov import BicgstabBreakdown
-from .lis import sample_green_kernel, solve_lis
 from .oracle import DiskScene, analytic_disk_field, relative_error
 
 
 class SolverFailure(RuntimeError):
     pass
+
+
+_BACKENDS = {"mgh": HelmholtzForward, "lis": LisForward}
 
 
 def _build_grid(cfg) -> Grid2D:
@@ -98,28 +99,16 @@ def cmd_simulate(cfg, out_dir: Path, wall_time: bool) -> list[Path]:
     solver = _solver_config(cfg)
     eta = _build_eta(cfg, scene.grid)
     f = _potential(eta, cfg.eta_b, scene.k0)
-    g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
-                                   scene.k0, scene.eta_b)
-    views, rows = [], []
-    if cfg.model == "mgh":
-        fwd = HelmholtzForward(scene, f, solver)
-    elif cfg.model == "lis":
-        kernel = sample_green_kernel(scene.grid, scene.k0, scene.eta_b)
-    else:
+    if cfg.model not in _BACKENDS:
         raise io.ConfigError(f"unknown model {cfg.model!r}")
+    scene.sensor_operator  # before any solve: lower peak, early sensor check
+    model = _BACKENDS[cfg.model](scene, f, solver)
+    views, rows = [], []
     for q in range(scene.geometry.num_views):
         t0 = time.perf_counter()
-        if cfg.model == "mgh":
-            u_tot, report = fwd.total_field(q)
-        else:
-            from .forward import plane_wave
-            u_in = plane_wave(scene.grid, scene.geometry.directions[q],
-                              scene.k0, scene.eta_b, scene.geometry.u0)
-            u_tot, report = solve_lis(kernel, f, u_in, tol=solver.tol,
-                                      max_iter=solver.max_iter)
+        y, report = model.predict(q)
         if not report.converged:
             raise SolverFailure(f"view {q} did not converge")
-        y = g_full[scene.geometry.active[q]] @ (f * u_tot).ravel()
         views.append(y)
         elapsed = time.perf_counter() - t0 if wall_time else 0.0
         rows.append([q, report.iterations, int(report.converged),
@@ -176,45 +165,37 @@ def cmd_reconstruct(cfg, out_dir: Path, wall_time: bool) -> list[Path]:
 
 def cmd_bench(cfg, out_dir: Path, wall_time: bool) -> list[Path]:
     contrasts = io.parse_float_list(cfg.contrast_list) or [0.0]
+    if not all(-1.0 < c < np.inf for c in contrasts):
+        raise io.ConfigError(f"contrast_list {cfg.contrast_list!r}: each "
+                             f"contrast must be finite and above -1")
     radii = io.parse_float_list(cfg.radius_list_lambda)
-    if not radii:
-        raise io.ConfigError("bench requires radius_list_lambda")
+    if not radii or not all(0.0 < r < np.inf for r in radii):
+        raise io.ConfigError("bench requires radius_list_lambda, with "
+                             "finite radii above 0")
     models = [m.strip() for m in cfg.bench_models.split(",") if m.strip()]
+    if not models or not set(models) <= set(_BACKENDS):
+        raise io.ConfigError(f"bench_models {cfg.bench_models!r} must list "
+                             f"models from {sorted(_BACKENDS)}")
     grid = _build_grid(cfg)
     lam = cfg.wavelength_cm
-    k0 = 2.0 * np.pi / lam
     solver = _solver_config(cfg)
-    # first view of the single-view geometry below shines along -x
-    direction = (-1.0, 0.0)
-    kernel = None
+    # one view, whose incident wave shines along -x; its sensors are unused
+    scene = ScatteringScene(grid, cfg.eta_b, make_circular_geometry(
+        1, 4, grid.side_length * 2.0, lam))
+    x, y = grid.coords()
     rows = []
     for contrast in contrasts:
         eta_disk = cfg.eta_b * np.sqrt(1.0 + contrast)
         for radius_l in radii:
             radius = radius_l * lam
             disk = DiskScene(radius, eta_disk, cfg.eta_b, lam)
-            u_ref = analytic_disk_field(disk, grid, direction)
-            x, y = grid.coords()
+            u_ref = analytic_disk_field(disk, grid, (-1.0, 0.0))
             f = np.where(np.hypot(x, y) <= radius,
-                         k0**2 * (eta_disk**2 - cfg.eta_b**2), 0.0)
+                         scene.k0**2 * (eta_disk**2 - cfg.eta_b**2), 0.0)
             for model in models:
                 t0 = time.perf_counter()
-                if model == "mgh":
-                    geom = make_circular_geometry(
-                        1, 4, grid.side_length * 2.0, lam)
-                    scene = ScatteringScene(grid, cfg.eta_b, geom)
-                    fwd = HelmholtzForward(scene, f, solver)
-                    u_tot, report = fwd.total_field(0)
-                elif model == "lis":
-                    if kernel is None:
-                        kernel = sample_green_kernel(grid, k0, cfg.eta_b)
-                    from .forward import plane_wave
-                    u_in = plane_wave(grid, direction, k0, cfg.eta_b)
-                    u_tot, report = solve_lis(kernel, f, u_in,
-                                              tol=solver.tol,
-                                              max_iter=solver.max_iter)
-                else:
-                    raise io.ConfigError(f"unknown bench model {model!r}")
+                backend = _BACKENDS[model](scene, f, solver)
+                u_tot, report = backend.total_field(0)
                 if not report.converged:
                     raise SolverFailure(
                         f"{model} did not converge at contrast {contrast}, "

@@ -5,6 +5,7 @@ Lippmann-Schwinger)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,21 @@ class ScatteringScene:
     def k0(self) -> float:
         return self.geometry.k0
 
+    @cached_property
+    def sensor_operator(self) -> np.ndarray:
+        """The scene's :func:`sensor_green_operator`, read-only.  Like the
+        Green kernel it does not depend on the potential: it is built on
+        first use and shared by every model of the scene."""
+        g = sensor_green_operator(self.grid, self.geometry.sensors, self.k0,
+                                  self.eta_b)
+        g.flags.writeable = False
+        return g
+
+    @cached_property
+    def green_kernel(self) -> GreenKernel:
+        """The scene's Lippmann-Schwinger :class:`GreenKernel`."""
+        return sample_green_kernel(self.grid, self.k0, self.eta_b)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -154,7 +170,42 @@ def sensor_green_operator(grid: Grid2D, sensors: np.ndarray, k0: float,
     return grid.h**2 * green_value(k0 * eta_b, dist)
 
 
-class HelmholtzForward:
+def _sensor_rows(scene: ScatteringScene, view: int) -> np.ndarray:
+    """Rows of the scene's sensor operator for the sensors active in
+    ``view``: the operator itself, with no copy, when all of them are."""
+    active = scene.geometry.active[view]
+    g = scene.sensor_operator
+    return g if active.all() else g[active]
+
+
+class _ForwardModel:
+    """Scene, potential ``f`` and sensor map; subclasses add total_field."""
+
+    def __init__(self, scene: ScatteringScene, f: np.ndarray,
+                 cfg: SolverConfig):
+        self.scene = scene
+        self.cfg = cfg
+        self.f = np.asarray(f, dtype=float)
+
+    def measure(self, view: int, source: np.ndarray) -> np.ndarray:
+        """Field at the sensors active in ``view`` radiated by ``source``
+        on the region of interest (``f * u`` for a total field ``u``)."""
+        return _sensor_rows(self.scene, view) @ source.ravel()
+
+    def measure_adjoint(self, view: int, r: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`measure`: G^H r on the region of interest,
+        as a row-vector product with no conjugated transpose of G."""
+        rows = _sensor_rows(self.scene, view)
+        return np.conj(np.conj(r) @ rows).reshape(self.f.shape)
+
+    def predict(self, view: int) -> tuple[np.ndarray, SolveReport]:
+        """Predicted scattered-field measurements of one view, G (f u),
+        and the report of the total-field solve."""
+        u_tot, report = self.total_field(view)
+        return self.measure(view, self.f * u_tot), report
+
+
+class HelmholtzForward(_ForwardModel):
     """Helmholtz forward model for a fixed scattering potential: caches the
     extended grid, operator, and multigrid hierarchy across views."""
 
@@ -163,9 +214,7 @@ class HelmholtzForward:
         k0 = scene.k0
         if np.min(f) < -k0**2 * scene.eta_b**2:
             raise ValueError("f would make eta^2 nonpositive")
-        self.scene = scene
-        self.cfg = cfg
-        self.f = np.asarray(f, dtype=float)
+        super().__init__(scene, f, cfg)
         self.eg = build_extended_grid(scene.grid, cfg.abl_points, cfg.beta,
                                       cfg.levels)
         self.f_ext = embed_potential(self.f, self.eg)
@@ -177,8 +226,8 @@ class HelmholtzForward:
         self.hier = MgHierarchy(self.op, 1 if small else cfg.levels, cfg.nu1,
                                 cfg.nu2, cfg.omega, cfg.cycle_type)
         self._precond = self.hier.as_preconditioner()
-        ext_grid_like = _extended_as_grid(self.eg)
-        self._ext_grid = ext_grid_like
+        side = self.eg.points_per_side
+        self._ext_grid = Grid2D(side, (side - 1) * self.eg.h, self.eg.origin)
 
     def incident_extended(self, view: int) -> np.ndarray:
         g = self.scene.geometry
@@ -212,8 +261,7 @@ class HelmholtzForward:
         u_tot = restrict_to_roi(u_sc + u_in, self.eg)
         return u_tot, report
 
-    def jvp(self, view: int, v: np.ndarray,
-            g_full: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+    def jvp(self, view: int, v: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         """Directional derivative of the measurement map at the stored
         potential, in the direction ``v`` (a real field on the region of
         interest): d/dt [G (f + t v) u(f + t v)] at t = 0."""
@@ -221,9 +269,7 @@ class HelmholtzForward:
         rhs = embed_potential((v * u_tot).astype(complex), self.eg)
         du_ext, report = self._solve(rhs)
         du = restrict_to_roi(du_ext, self.eg)
-        mask = self.scene.geometry.active[view]
-        dy = g_full[mask] @ (v * u_tot + self.f * du).ravel()
-        return dy, report
+        return self.measure(view, v * u_tot + self.f * du), report
 
     def adjoint_solve(self, rhs: np.ndarray, warm: np.ndarray | None = None
                       ) -> tuple[np.ndarray, SolveReport]:
@@ -241,44 +287,28 @@ class HelmholtzForward:
         return z, report
 
 
-def _extended_as_grid(eg) -> Grid2D:
-    side = eg.points_per_side
-    return Grid2D(side, (side - 1) * eg.h, eg.origin)
+class LisForward(_ForwardModel):
+    """Lippmann-Schwinger forward model for a fixed scattering potential,
+    on the scene's Green kernel."""
 
-
-def _predict(scene: ScatteringScene, f: np.ndarray, u_total: np.ndarray,
-             view: int, g_full: np.ndarray | None) -> np.ndarray:
-    if g_full is None:
-        g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
-                                       scene.k0, scene.eta_b)
-    mask = scene.geometry.active[view]
-    return g_full[mask] @ (f * u_total).ravel()
+    def total_field(self, view: int) -> tuple[np.ndarray, SolveReport]:
+        """Total field on the region of interest."""
+        g = self.scene.geometry
+        u_in = plane_wave(self.scene.grid, g.directions[view], self.scene.k0,
+                          self.scene.eta_b, g.u0)
+        return solve_lis(self.scene.green_kernel, self.f, u_in,
+                         tol=self.cfg.tol, max_iter=self.cfg.max_iter)
 
 
 def forward_mgh(scene: ScatteringScene, f: np.ndarray, view: int,
-                cfg: SolverConfig, g_full: np.ndarray | None = None
-                ) -> tuple[np.ndarray, SolveReport]:
+                cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
     """Predicted scattered-field measurements for one view with the
-    multigrid-preconditioned Helmholtz model.  ``g_full`` is the scene's
-    sensor operator, built here when not given."""
-    fwd = HelmholtzForward(scene, f, cfg)
-    u_tot, report = fwd.total_field(view)
-    return _predict(scene, fwd.f, u_tot, view, g_full), report
+    multigrid-preconditioned Helmholtz model."""
+    return HelmholtzForward(scene, f, cfg).predict(view)
 
 
 def forward_lis(scene: ScatteringScene, f: np.ndarray, view: int,
-                cfg: SolverConfig,
-                kernel: GreenKernel | None = None,
-                g_full: np.ndarray | None = None
-                ) -> tuple[np.ndarray, SolveReport]:
+                cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
     """Predicted scattered-field measurements for one view with the
-    Lippmann-Schwinger model.  ``kernel`` and the sensor operator
-    ``g_full`` are built here when not given."""
-    if kernel is None:
-        kernel = sample_green_kernel(scene.grid, scene.k0, scene.eta_b)
-    g = scene.geometry
-    u_in = plane_wave(scene.grid, g.directions[view], scene.k0, scene.eta_b,
-                      g.u0)
-    u_tot, report = solve_lis(kernel, f, u_in, tol=cfg.tol,
-                              max_iter=cfg.max_iter)
-    return _predict(scene, np.asarray(f, float), u_tot, view, g_full), report
+    Lippmann-Schwinger model."""
+    return LisForward(scene, f, cfg).predict(view)

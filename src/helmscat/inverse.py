@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import HelmholtzForward, ScatteringScene, SolverConfig, \
-    sensor_green_operator
+from .forward import HelmholtzForward, ScatteringScene, SolverConfig
 from .grid import build_extended_grid, embed_potential, restrict_to_roi
 
 
@@ -41,59 +40,39 @@ class ReconstructionHistory:
 
 
 def data_fidelity(scene: ScatteringScene, f: np.ndarray, view: int,
-                  y: np.ndarray, cfg: SolverConfig,
-                  fwd: HelmholtzForward | None = None,
-                  g_full: np.ndarray | None = None) -> float:
+                  y: np.ndarray, cfg: SolverConfig) -> float:
     """0.5 * || H(f) - y ||^2 for one view."""
-    if fwd is None:
-        fwd = HelmholtzForward(scene, f, cfg)
-    if g_full is None:
-        g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
-                                       scene.k0, scene.eta_b)
-    u_tot, _ = fwd.total_field(view)
-    mask = scene.geometry.active[view]
-    resid = g_full[mask] @ (fwd.f * u_tot).ravel() - y
-    return 0.5 * float(np.linalg.norm(resid)**2)
+    y_pred, _ = HelmholtzForward(scene, f, cfg).predict(view)
+    return 0.5 * float(np.linalg.norm(y_pred - y)**2)
 
 
 def gradient_data_fidelity(scene: ScatteringScene, f: np.ndarray,
                            subset, measurements, cfg: SolverConfig,
-                           g_full: np.ndarray | None = None,
                            warm: np.ndarray | None = None
                            ) -> tuple[np.ndarray, float, float]:
     """Summed gradient of the per-view quadratic fidelities over ``subset``
     (fixed ascending view order), plus the subset fidelity value and the
-    multigrid work units spent.  ``g_full`` is the scene's sensor operator;
-    it does not depend on ``f``, so callers that evaluate many gradients
-    pass it in rather than have it rebuilt on every call.  ``warm``, an
-    optional complex array of shape (2, num_views, se, se) on the extended
-    grid of side se, holds per view the scattered field (``warm[0, q]``)
-    and the adjoint solution (``warm[1, q]``) of an earlier call: the
-    solves start from them and overwrite them.
+    multigrid work units spent.  ``warm``, an optional complex array of
+    shape (2, num_views, se, se) on the extended grid of side se, holds per
+    view the scattered field (``warm[0, q]``) and the adjoint solution
+    (``warm[1, q]``) of an earlier call: the solves start from them and
+    overwrite them.
 
     Per view: r = H(f) - y, w = G^H r on the region of interest, then
     grad += Re(conj(u) * (w + restrict(A^{-H} embed(f * w)))).
     """
     subset = sorted(subset)
     fwd = HelmholtzForward(scene, f, cfg)
-    if g_full is None:
-        g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
-                                       scene.k0, scene.eta_b)
-    s = scene.grid.points_per_side
-    grad = np.zeros((s, s))
+    grad = np.zeros_like(fwd.f)
     fidelity = 0.0
     for q in subset:
         warm_q = (None, None) if warm is None else warm[:, q]
         u_tot, rep = fwd.total_field(q, warm_q[0])
         if not rep.converged:
             raise RuntimeError(f"forward solve failed for view {q}")
-        mask = scene.geometry.active[q]
-        # with every sensor active the rows are g_full itself: no copy
-        g_active = g_full if mask.all() else g_full[mask]
-        resid = g_active @ (fwd.f * u_tot).ravel() - measurements.views[q]
+        resid = fwd.measure(q, fwd.f * u_tot) - measurements.views[q]
         fidelity += 0.5 * float(np.linalg.norm(resid)**2)
-        # G^H r as a row-vector product, with no conjugated transpose of G
-        w = np.conj(np.conj(resid) @ g_active).reshape(s, s)
+        w = fwd.measure_adjoint(q, resid)
         rhs = embed_potential((fwd.f * w).astype(complex), fwd.eg)
         z, rep_adj = fwd.adjoint_solve(rhs, warm_q[1])
         if not rep_adj.converged:
@@ -135,11 +114,18 @@ def tv_prox(w: np.ndarray, weight: float, inner_iters: int = 50
         raise ValueError("weight must be nonnegative")
     if weight == 0.0:
         return np.maximum(w, 0.0)
+    return _tv_prox_dual(w, weight, inner_iters)[0]
+
+
+def _tv_prox_dual(w: np.ndarray, weight: float, inner_iters: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fast gradient projection (Beck and Teboulle, 2009) on the dual of
+    the nonnegative TV prox, ``weight > 0``: returns the primal point
+    x = max(w - weight * D^T p, 0) and the dual p = (px, py), |p| <= 1."""
     px = np.zeros_like(w)
     py = np.zeros_like(w)
     bx, by = px.copy(), py.copy()
     t = 1.0
-    out = np.maximum(w, 0.0)
     for _ in range(inner_iters):
         out = np.maximum(w - weight * _neg_divergence(bx, by), 0.0)
         gx, gy = _forward_diff(out)
@@ -152,7 +138,7 @@ def tv_prox(w: np.ndarray, weight: float, inner_iters: int = 50
         bx = px_new + mom * (px_new - px)
         by = py_new + mom * (py_new - py)
         px, py, t = px_new, py_new, t_new
-    return np.maximum(w - weight * _neg_divergence(px, py), 0.0)
+    return np.maximum(w - weight * _neg_divergence(px, py), 0.0), px, py
 
 
 def snr(eta_star: np.ndarray, eta_true: np.ndarray) -> float:
@@ -194,8 +180,7 @@ def reconstruct_fbs(measurements, scene: ScatteringScene,
     rng = np.random.default_rng(config.seed)
     history = ReconstructionHistory()
     t0 = time.perf_counter()
-    g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
-                                   scene.k0, scene.eta_b)
+    scene.sensor_operator  # build it before any LU: a lower memory peak
     # one block of warm starts: late iterates barely move, so each view's
     # previous forward and adjoint solutions are good initial guesses
     se = build_extended_grid(scene.grid, config.solver.abl_points,
@@ -207,8 +192,7 @@ def reconstruct_fbs(measurements, scene: ScatteringScene,
         subset = select_subset(rng, scene.geometry.num_views,
                                config.subset_size)
         grad, fidelity, wu = gradient_data_fidelity(
-            scene, f_bar, subset, measurements, config.solver, g_full=g_full,
-            warm=warm)
+            scene, f_bar, subset, measurements, config.solver, warm=warm)
         f_new = tv_prox(f_bar - config.gamma * grad,
                         config.gamma * config.tau,
                         config.inner_prox_iterations)

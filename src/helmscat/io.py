@@ -67,8 +67,8 @@ class RunConfig:
 
 
 def parse_config(path: str | Path, command: str) -> RunConfig:
-    """Parse a flat key=value document; unknown keys are rejected and the
-    required keys for ``command`` must all be present."""
+    """Parse a flat key=value document; unknown keys, non-finite floats and
+    missing keys that ``command`` requires are rejected."""
     values = {}
     text = Path(path).read_text()
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -90,6 +90,8 @@ def parse_config(path: str | Path, command: str) -> RunConfig:
             raise ConfigError(
                 f"line {ln}: cannot parse {val!r} as {caster.__name__}"
             ) from None
+        if caster is float and not np.isfinite(values[key]):
+            raise ConfigError(f"line {ln}: {key} must be finite, got {val!r}")
     for key, (_, required_by, default) in _SCHEMA.items():
         if key in values:
             continue

@@ -142,7 +142,8 @@ class MgHierarchy:
             raise ValueError("coarsest grid degenerate")
         wavelength = 2.0 * np.pi / (coarsest.k0 * np.sqrt(np.max(coarsest.eta_sq)))
         ppw = wavelength / coarsest.h
-        if ppw < 10.0:
+        # one level is an exact solve: there is no coarse grid to resolve
+        if n_levels > 1 and ppw < 10.0:
             warnings.warn(
                 f"coarsest level has {ppw:.1f} points per wavelength "
                 "(rule of thumb is 10)", stacklevel=2)

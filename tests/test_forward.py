@@ -250,29 +250,6 @@ def test_geometry_accepts_every_sensor_active():
     assert geom.active.all()
 
 
-def test_forward_models_use_given_sensor_operator(monkeypatch):
-    from helmscat import forward
-    scene = _small_scene()
-    k0 = scene.k0
-    x, y = scene.grid.coords()
-    f = np.where(np.hypot(x, y) <= 5.0, k0 ** 2 * (1.2 ** 2 - 1.0), 0.0)
-    cfg = hs.SolverConfig(abl_points=4, beta=0.15, levels=2)
-    g_full = sensor_green_operator(scene.grid, scene.geometry.sensors, k0,
-                                   scene.eta_b)
-    kernel = hs.sample_green_kernel(scene.grid, k0, scene.eta_b)
-    y_mgh, _ = hs.forward_mgh(scene, f, 1, cfg)
-    y_lis, _ = hs.forward_lis(scene, f, 1, cfg, kernel)
-
-    def unexpected(*args, **kwargs):
-        raise AssertionError("sensor operator rebuilt")
-
-    monkeypatch.setattr(forward, "sensor_green_operator", unexpected)
-    y_mgh_g, _ = hs.forward_mgh(scene, f, 1, cfg, g_full=g_full)
-    y_lis_g, _ = hs.forward_lis(scene, f, 1, cfg, kernel, g_full=g_full)
-    np.testing.assert_array_equal(y_mgh_g, y_mgh)
-    np.testing.assert_array_equal(y_lis_g, y_lis)
-
-
 def _reconstruct_64_scene():
     """The reconstruction scene of criterion 7: 64^2, ABL 4, 73^2 extended
     grid, index-1.1 disk."""

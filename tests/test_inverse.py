@@ -5,7 +5,8 @@ import pytest
 
 import helmscat as hs
 from helmscat.forward import sensor_green_operator
-from helmscat.inverse import select_subset, tv_prox, tv_value
+from helmscat.inverse import (_forward_diff, _tv_prox_dual, select_subset,
+                              tv_prox, tv_value)
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +76,20 @@ def test_prox_matches_convex_solver():
 
     out = tv_prox(v, weight, 1500)
     assert objective(out) - objective(W.value) < 1e-6
+
+
+def test_prox_duality_gap_certificate():
+    # criterion 6's property without a convex solver: for a feasible dual
+    # p, weight * (TV(x) - <p, D x>) bounds the primal suboptimality of x
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((16, 16)) * 0.5 + 0.3
+    weight = 0.2
+    x, px, py = _tv_prox_dual(v, weight, 1500)
+    np.testing.assert_array_equal(x, tv_prox(v, weight, 1500))
+    dx, dy = _forward_diff(x)
+    gap = weight * (tv_value(x) - np.sum(px * dx + py * dy))
+    assert gap < 1e-6
+    assert np.max(np.hypot(px, py)) <= 1.0 + 1e-12
 
 
 def test_prox_negative_weight_rejected():
@@ -176,20 +191,44 @@ def test_reconstruction_history_without_truth():
     assert history.work_units[-1] >= history.work_units[0]
 
 
-def test_gradient_reuses_given_sensor_operator():
-    scene, cfg, f_true, ms = _toy_problem()
+def test_scene_builds_each_operator_once(monkeypatch):
+    from helmscat import forward
+    scene, cfg, f_true, ms = _toy_problem(active_count=6)
+    g_ref = sensor_green_operator(scene.grid, scene.geometry.sensors,
+                                  scene.k0, scene.eta_b)
+    calls = {"sensor_green_operator": 0, "sample_green_kernel": 0}
+
+    def counting(name):
+        build = getattr(forward, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+        monkeypatch.setattr(forward, name, wrapper)
+
+    counting("sensor_green_operator")
+    counting("sample_green_kernel")
     f = 0.5 * f_true
-    g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
-                                   scene.k0, scene.eta_b)
-    grad, fid, _ = hs.gradient_data_fidelity(scene, f, [0, 2], ms, cfg)
-    grad_g, fid_g, _ = hs.gradient_data_fidelity(scene, f, [0, 2], ms, cfg,
-                                                 g_full=g_full)
-    np.testing.assert_array_equal(grad_g, grad)
-    assert fid_g == fid
+    y_mgh, _ = hs.forward_mgh(scene, f, 1, cfg)
+    y_lis, _ = hs.forward_lis(scene, f, 1, cfg)
+    hs.forward_lis(scene, f, 2, cfg)
+    hs.data_fidelity(scene, f, 0, ms.views[0], cfg)
+    hs.gradient_data_fidelity(scene, f, [0, 2], ms, cfg)
+    rc = hs.ReconstructionConfig(gamma=0.05, tau=1e-4, iterations=2,
+                                 subset_size=2, seed=1, solver=cfg)
+    hs.reconstruct_fbs(ms, scene, rc)
+    assert calls == {"sensor_green_operator": 1, "sample_green_kernel": 1}
+    # the cached operator gives the values of a freshly built one
+    active = scene.geometry.active[1]
+    u_mgh, _ = hs.HelmholtzForward(scene, f, cfg).total_field(1)
+    u_lis, _ = forward.LisForward(scene, f, cfg).total_field(1)
+    np.testing.assert_array_equal(y_mgh, g_ref[active] @ (f * u_mgh).ravel())
+    np.testing.assert_array_equal(y_lis, g_ref[active] @ (f * u_lis).ravel())
+    assert not scene.sensor_operator.flags.writeable
 
 
 def test_reconstruction_builds_sensor_operator_once(monkeypatch):
-    import helmscat.inverse as inverse
+    import helmscat.forward as forward
     scene, cfg, f_true, ms = _toy_problem()
     calls = []
 
@@ -197,7 +236,7 @@ def test_reconstruction_builds_sensor_operator_once(monkeypatch):
         calls.append(1)
         return sensor_green_operator(*args, **kwargs)
 
-    monkeypatch.setattr(inverse, "sensor_green_operator", counting)
+    monkeypatch.setattr(forward, "sensor_green_operator", counting)
     rc = hs.ReconstructionConfig(gamma=0.05, tau=1e-4, iterations=3,
                                  subset_size=2, seed=1, solver=cfg)
     f1, _ = hs.reconstruct_fbs(ms, scene, rc)
@@ -232,8 +271,7 @@ def test_gradient_matches_row_copy_expression(active_count):
     g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
                                    scene.k0, scene.eta_b)
     f = 0.5 * f_true
-    grad, fid, _ = hs.gradient_data_fidelity(scene, f, [2, 0], ms, cfg,
-                                             g_full=g_full)
+    grad, fid, _ = hs.gradient_data_fidelity(scene, f, [2, 0], ms, cfg)
     grad_ref, fid_ref = _row_copy_gradient(scene, f, [2, 0], ms, cfg, g_full)
     np.testing.assert_array_equal(grad, grad_ref)
     assert fid == fid_ref

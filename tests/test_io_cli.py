@@ -401,3 +401,44 @@ def test_active_sensors_above_num_sensors(tmp_path, capsys):
     _assert_input_error(capsys, ["simulate", "--config", str(cfg),
                                  "--out-dir", str(tmp_path / "aout")],
                         "active sensor count 9 out of range [1, 8]")
+
+
+@pytest.mark.parametrize("line", ["disk_eta = nan", "disk_eta = inf",
+                                  "eta_b = nan"])
+def test_non_finite_config_value(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    cfg = _write(tmp_path, SIM.replace("disk_eta = 1.2", "") + line + "\n")
+    out = tmp_path / "nfout"
+    _assert_input_error(capsys, ["simulate", "--config", str(cfg),
+                                 "--out-dir", str(out)],
+                        f"{key} must be finite")
+    assert not (out / "measurements.csv").exists()
+    assert not (out / "reports.csv").exists()
+
+
+BENCH = BASE + """
+abl_points = 4
+mg_levels = 2
+radius_list_lambda = 0.5
+"""
+
+
+@pytest.mark.parametrize("line", [
+    "contrast_list = -2", "contrast_list = 0.5, -1", "contrast_list = nan",
+    "bench_models = ,", "bench_models = mgh, fdtd",
+    "radius_list_lambda = inf", "radius_list_lambda = 0.5, -0.5"])
+def test_bench_rejects_bad_lists(tmp_path, capsys, monkeypatch, line):
+    from helmscat import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a bench list was checked after a solve")
+
+    monkeypatch.setattr(cli, "analytic_disk_field", no_solve)
+    key = line.split(" = ")[0]
+    lines = [ln for ln in BENCH.splitlines() if not ln.startswith(key)]
+    cfg = _write(tmp_path, "\n".join(lines + [line]) + "\n",
+                 name="bench.cfg")
+    out = tmp_path / "bout"
+    _assert_input_error(capsys, ["bench", "--config", str(cfg),
+                                 "--out-dir", str(out)], key)
+    assert not (out / "bench.csv").exists()

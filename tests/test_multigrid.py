@@ -162,6 +162,15 @@ def test_coarse_resolution_warning():
         MgHierarchy(op, 3)
 
 
+def test_one_level_hierarchy_does_not_warn():
+    # the same under-resolved operator, solved directly: no coarse grid
+    eg, op = _operator(s=17, abl=4, levels=3, k0=1.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        MgHierarchy(op, 1)
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
+
+
 def test_lfa_smoother_symbol_at_zero_frequency():
     # (kh)^2 = 1, omega = 0.8: s(0, 0) = 0.2 + 1.6/3 * 2 = 19/15
     sym = lfa_symbols(1.0, 0.8, (0.0, 0.0))

@@ -250,6 +250,40 @@ def test_geometry_accepts_every_sensor_active():
     assert geom.active.all()
 
 
+def test_forward_models_use_given_sensor_operator(monkeypatch):
+    from helmscat import forward
+    scene = _small_scene()
+    k0 = scene.k0
+    x, y = scene.grid.coords()
+    f = np.where(np.hypot(x, y) <= 5.0, k0 ** 2 * (1.2 ** 2 - 1.0), 0.0)
+    cfg = hs.SolverConfig(abl_points=4, beta=0.15, levels=2)
+    y_mgh, _ = hs.forward_mgh(scene, f, 1, cfg)
+    y_lis, _ = hs.forward_lis(scene, f, 1, cfg)
+    g_full = sensor_green_operator(scene.grid, scene.geometry.sensors, k0,
+                                   scene.eta_b)
+    g_full.flags.writeable = False
+    kernel = hs.sample_green_kernel(scene.grid, k0, scene.eta_b)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("sensor operator rebuilt")
+
+    monkeypatch.setattr(forward, "sensor_green_operator", unexpected)
+    monkeypatch.setattr(forward, "sample_green_kernel", unexpected)
+    # a scene given prebuilt operators uses them and builds nothing
+    given = _small_scene()
+    given.__dict__["sensor_operator"] = g_full
+    given.__dict__["green_kernel"] = kernel
+    y_mgh_g, _ = hs.forward_mgh(given, f, 1, cfg)
+    y_lis_g, _ = hs.forward_lis(given, f, 1, cfg)
+    np.testing.assert_array_equal(y_mgh_g, y_mgh)
+    np.testing.assert_array_equal(y_lis_g, y_lis)
+    # the scene that built its own operators reuses them
+    y_mgh_s, _ = hs.forward_mgh(scene, f, 1, cfg)
+    y_lis_s, _ = hs.forward_lis(scene, f, 1, cfg)
+    np.testing.assert_array_equal(y_mgh_s, y_mgh)
+    np.testing.assert_array_equal(y_lis_s, y_lis)
+
+
 def _reconstruct_64_scene():
     """The reconstruction scene of criterion 7: 64^2, ABL 4, 73^2 extended
     grid, index-1.1 disk."""

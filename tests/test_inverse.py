@@ -191,6 +191,26 @@ def test_reconstruction_history_without_truth():
     assert history.work_units[-1] >= history.work_units[0]
 
 
+def test_gradient_reuses_given_sensor_operator(monkeypatch):
+    from helmscat import forward
+    scene, cfg, f_true, ms = _toy_problem()
+    f = 0.5 * f_true
+    grad, fid, _ = hs.gradient_data_fidelity(scene, f, [0, 2], ms, cfg)
+    g_full = sensor_green_operator(scene.grid, scene.geometry.sensors,
+                                   scene.k0, scene.eta_b)
+    g_full.flags.writeable = False
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("sensor operator rebuilt")
+
+    monkeypatch.setattr(forward, "sensor_green_operator", unexpected)
+    given, _, _, _ = _toy_problem()
+    given.__dict__["sensor_operator"] = g_full
+    grad_g, fid_g, _ = hs.gradient_data_fidelity(given, f, [0, 2], ms, cfg)
+    np.testing.assert_array_equal(grad_g, grad)
+    assert fid_g == fid
+
+
 def test_scene_builds_each_operator_once(monkeypatch):
     from helmscat import forward
     scene, cfg, f_true, ms = _toy_problem(active_count=6)

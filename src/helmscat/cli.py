@@ -56,12 +56,30 @@ def _parse_disk_list(text: str) -> list[tuple[float, float, float, float]]:
         part = part.strip()
         if not part:
             continue
-        vals = [float(tok) for tok in part.split(",")]
-        if len(vals) != 4:
+        try:
+            vals = [float(tok) for tok in part.split(",")]
+        except ValueError:
+            vals = []
+        if len(vals) != 4 or not np.all(np.isfinite(vals)):
             raise io.ConfigError(
-                "phantom_disks entries must be x,y,radius,eta")
+                f"phantom_disks entry {part!r} must be four finite numbers "
+                f"x,y,radius,eta")
         disks.append(tuple(vals))
     return disks
+
+
+def _read_grid_field(cfg, key: str, grid: Grid2D) -> np.ndarray:
+    """The HSF1 field named by config key ``key``, checked to be real,
+    finite and on ``grid``."""
+    field = io.read_field(getattr(cfg, key))
+    s = grid.points_per_side
+    if np.iscomplexobj(field) or field.shape != (s, s):
+        raise io.ConfigError(f"{key} must be a real field on the {s}x{s} "
+                             f"grid, got a {field.dtype} field of shape "
+                             f"{field.shape}")
+    if not np.all(np.isfinite(field)):
+        raise io.ConfigError(f"{key} has non-finite values")
+    return field
 
 
 def _build_eta(cfg, grid: Grid2D) -> np.ndarray:
@@ -80,11 +98,7 @@ def _build_eta(cfg, grid: Grid2D) -> np.ndarray:
     elif cfg.scene == "file":
         if not cfg.scene_file:
             raise io.ConfigError("file scene requires scene_file")
-        eta = io.read_field(cfg.scene_file)
-        if np.iscomplexobj(eta) or eta.shape != x.shape:
-            raise io.ConfigError("scene_file must be a real field on the grid")
-        if not np.all(np.isfinite(eta)):
-            raise io.ConfigError("scene_file has non-finite values")
+        eta = _read_grid_field(cfg, "scene_file", grid)
     else:
         raise io.ConfigError(f"unknown scene {cfg.scene!r}")
     return eta
@@ -106,10 +120,11 @@ def cmd_simulate(cfg, out_dir: Path, wall_time: bool) -> list[Path]:
     views, rows = [], []
     for q in range(scene.geometry.num_views):
         t0 = time.perf_counter()
-        y, report = model.predict(q)
+        y, reports = model.predict([q])
+        report = reports[0]
         if not report.converged:
             raise SolverFailure(f"view {q} did not converge")
-        views.append(y)
+        views.append(y[0])
         elapsed = time.perf_counter() - t0 if wall_time else 0.0
         rows.append([q, report.iterations, int(report.converged),
                      float(report.residual_history[-1]
@@ -131,7 +146,7 @@ def cmd_reconstruct(cfg, out_dir: Path, wall_time: bool) -> list[Path]:
                                             scene.geometry)
     eta_true = None
     if cfg.ground_truth_file:
-        eta_true = io.read_field(cfg.ground_truth_file)
+        eta_true = _read_grid_field(cfg, "ground_truth_file", scene.grid)
     subset = cfg.subset_size if cfg.subset_size > 0 else cfg.num_views
     s = scene.grid.points_per_side
     if cfg.iterations == 0:

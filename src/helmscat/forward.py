@@ -4,13 +4,14 @@ Lippmann-Schwinger)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .grid import (Grid2D, build_extended_grid, embed_potential,
-                   restrict_to_roi)
+from .grid import (ExtendedGrid2D, Grid2D, build_extended_grid,
+                   embed_potential, restrict_to_roi)
 from .helmholtz import assemble
 from .krylov import SolveReport, bicgstab
 from .lis import GreenKernel, green_value, sample_green_kernel, solve_lis
@@ -129,6 +130,22 @@ class ScatteringScene:
         """The scene's Lippmann-Schwinger :class:`GreenKernel`."""
         return sample_green_kernel(self.grid, self.k0, self.eta_b)
 
+    @cached_property
+    def _incident_cache(self) -> dict:
+        return {}
+
+    def incident_waves(self, grid: Grid2D) -> np.ndarray:
+        """Every view's incident plane wave on ``grid``, a read-only stack of
+        shape (num_views, s, s).  Like the operators above it does not
+        depend on the potential: it is built on first use per grid and
+        kept, so call it only for grids small enough to hold."""
+        waves = self._incident_cache.get(grid)
+        if waves is None:
+            waves = _plane_waves(self, grid, range(self.geometry.num_views))
+            waves.flags.writeable = False
+            self._incident_cache[grid] = waves
+        return waves
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -170,16 +187,9 @@ def sensor_green_operator(grid: Grid2D, sensors: np.ndarray, k0: float,
     return grid.h**2 * green_value(k0 * eta_b, dist)
 
 
-def _sensor_rows(scene: ScatteringScene, view: int) -> np.ndarray:
-    """Rows of the scene's sensor operator for the sensors active in
-    ``view``: the operator itself, with no copy, when all of them are."""
-    active = scene.geometry.active[view]
-    g = scene.sensor_operator
-    return g if active.all() else g[active]
-
-
 class _ForwardModel:
-    """Scene, potential ``f`` and sensor map; subclasses add total_field."""
+    """Scene, potential ``f`` and the sensor map, over a list of views;
+    subclasses add ``fields(views)``, the stack of total fields."""
 
     def __init__(self, scene: ScatteringScene, f: np.ndarray,
                  cfg: SolverConfig):
@@ -187,27 +197,56 @@ class _ForwardModel:
         self.cfg = cfg
         self.f = np.asarray(f, dtype=float)
 
-    def measure(self, view: int, source: np.ndarray) -> np.ndarray:
-        """Field at the sensors active in ``view`` radiated by ``source``
-        on the region of interest (``f * u`` for a total field ``u``)."""
-        return _sensor_rows(self.scene, view) @ source.ravel()
+    def measure(self, views, sources: np.ndarray) -> list[np.ndarray]:
+        """Per view of ``views``, the field at its active sensors radiated
+        by the matching source of the stack ``sources`` on the region of
+        interest (``f * u`` for total fields ``u``).  One product with the
+        scene's sensor operator serves every view; each view then keeps
+        its active sensors."""
+        full = sources.reshape(len(views), -1) @ self.scene.sensor_operator.T
+        active = self.scene.geometry.active
+        return [full[i, active[q]] for i, q in enumerate(views)]
 
-    def measure_adjoint(self, view: int, r: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`measure`: G^H r on the region of interest,
-        as a row-vector product with no conjugated transpose of G."""
-        rows = _sensor_rows(self.scene, view)
-        return np.conj(np.conj(r) @ rows).reshape(self.f.shape)
+    def measure_adjoint(self, views, r) -> np.ndarray:
+        """Adjoint of :meth:`measure`: G^H r_i on the region of interest for
+        each view's sensor vector ``r[i]``, as one product of the stacked
+        residual rows (zero at inactive sensors) with the scene's operator,
+        with no row copy or conjugated transpose of G."""
+        g = self.scene.sensor_operator
+        active = self.scene.geometry.active
+        rows = np.zeros((len(views), g.shape[0]), dtype=complex)
+        for i, q in enumerate(views):
+            rows[i, active[q]] = np.conj(r[i])
+        return np.conj(rows @ g).reshape((len(views),) + self.f.shape)
 
-    def predict(self, view: int) -> tuple[np.ndarray, SolveReport]:
-        """Predicted scattered-field measurements of one view, G (f u),
-        and the report of the total-field solve."""
-        u_tot, report = self.total_field(view)
-        return self.measure(view, self.f * u_tot), report
+    def predict(self, views) -> tuple[list[np.ndarray], list[SolveReport]]:
+        """Predicted scattered-field measurements of each of ``views``,
+        G (f u), and the reports of the total-field solves."""
+        u, reports = self.fields(views)
+        return self.measure(views, self.f * u), reports
+
+
+def _plane_waves(scene: ScatteringScene, grid: Grid2D, views) -> np.ndarray:
+    """Stack of the incident waves of ``views`` on ``grid``."""
+    g = scene.geometry
+    return np.stack([plane_wave(grid, g.directions[q], scene.k0, scene.eta_b,
+                                g.u0) for q in views])
+
+
+def solves_directly(eg: ExtendedGrid2D) -> bool:
+    """True when the Helmholtz model solves on ``eg`` with one sparse LU of
+    the whole operator rather than with multigrid."""
+    return eg.points_per_side**2 <= _DIRECT_MAX_UNKNOWNS
 
 
 class HelmholtzForward(_ForwardModel):
     """Helmholtz forward model for a fixed scattering potential: caches the
-    extended grid, operator, and multigrid hierarchy across views."""
+    extended grid, operator, and multigrid hierarchy across views.
+
+    Every solve takes a stack of right-hand sides, one per view.  On the
+    direct path (see :func:`solves_directly`) the stack is one multi-column
+    LU solve; on the multigrid path each view runs its own
+    multigrid-preconditioned Bi-CGSTAB, which can start from a warm guess."""
 
     def __init__(self, scene: ScatteringScene, f: np.ndarray,
                  cfg: SolverConfig):
@@ -221,94 +260,172 @@ class HelmholtzForward(_ForwardModel):
         eta_sq = scene.eta_b**2 + self.f_ext / k0**2
         self.op = assemble(self.eg, eta_sq, k0, cfg.beta)
         # one level: the "cycle" is the exact coarsest solve of the whole
-        # operator, and Bi-CGSTAB converges in one iteration
-        small = self.eg.points_per_side**2 <= _DIRECT_MAX_UNKNOWNS
-        self.hier = MgHierarchy(self.op, 1 if small else cfg.levels, cfg.nu1,
-                                cfg.nu2, cfg.omega, cfg.cycle_type)
+        # operator
+        self.direct = solves_directly(self.eg)
+        self.hier = MgHierarchy(self.op, 1 if self.direct else cfg.levels,
+                                cfg.nu1, cfg.nu2, cfg.omega, cfg.cycle_type)
         self._precond = self.hier.as_preconditioner()
         side = self.eg.points_per_side
         self._ext_grid = Grid2D(side, (side - 1) * self.eg.h, self.eg.origin)
 
-    def incident_extended(self, view: int) -> np.ndarray:
-        g = self.scene.geometry
-        return plane_wave(self._ext_grid, g.directions[view], self.scene.k0,
-                          self.scene.eta_b, g.u0)
+    def _incident(self, views) -> np.ndarray:
+        """Incident waves of ``views`` on the extended grid.  On the direct
+        path the scene keeps every view's wave, as the grid is small; on
+        the multigrid path they are evaluated per call (eight views at 321^2
+        would hold 13 MiB)."""
+        views = list(views)
+        if not self.direct:
+            return _plane_waves(self.scene, self._ext_grid, views)
+        waves = self.scene.incident_waves(self._ext_grid)
+        # every view in order (a full TV-FBS subset): the read-only cache
+        # itself, which saves a copy of the stack at the peak
+        return waves if views == list(range(len(waves))) else waves[views]
 
-    def _solve(self, b: np.ndarray, x0: np.ndarray | None = None
-               ) -> tuple[np.ndarray, SolveReport]:
-        """Bi-CGSTAB for A x = b, started from ``x0`` and preconditioned by
-        the hierarchy (multigrid, or on small grids the exact LU)."""
-        return bicgstab(self.op.apply, b, apply_M=self._precond, x0=x0,
-                        tol=self.cfg.tol, max_iter=self.cfg.max_iter,
-                        work_meter=self.hier.meter)
+    def incident_extended(self, view: int) -> np.ndarray:
+        return self._incident([view])[0]
+
+    def _solve(self, b: np.ndarray, x0=None
+               ) -> tuple[np.ndarray, list[SolveReport]]:
+        """Solve A x_i = b_i for each field of the stack ``b``.
+
+        Direct path: one multi-column LU solve, then a residual check per
+        column, ||b_i - A x_i|| <= tol ||b_i||, reported as one iteration
+        with no work units (a non-finite residual does not converge); the
+        solve is exact, so ``x0`` is not used.  Multigrid path: Bi-CGSTAB
+        per field, preconditioned by the hierarchy and started from
+        ``x0[i]`` when guesses are given."""
+        if not self.direct:
+            solved = [bicgstab(self.op.apply, b[i], apply_M=self._precond,
+                               x0=None if x0 is None else x0[i],
+                               tol=self.cfg.tol, max_iter=self.cfg.max_iter,
+                               work_meter=self.hier.meter)
+                      for i in range(len(b))]
+            return np.stack([x for x, _ in solved]), [r for _, r in solved]
+        x = self.hier.coarsest_solve(b)
+        reports = []
+        for b_i, x_i in zip(b, x):
+            r = self.op.apply(x_i)
+            r -= b_i
+            b_norm = float(np.linalg.norm(b_i))
+            r_norm = float(np.linalg.norm(r))
+            reports.append(SolveReport(
+                1, [b_norm, r_norm],
+                math.isfinite(r_norm) and r_norm <= self.cfg.tol * b_norm))
+        return x, reports
+
+    def _solve_conj(self, b: np.ndarray, warm=None
+                    ) -> tuple[np.ndarray, list[SolveReport]]:
+        """Solve A^H z_i = conj(b_i) for each field of the stack ``b``.  The
+        operator is complex symmetric, so z_i = conj(x_i) with A x_i = b_i.
+        ``warm``, as in :meth:`fields`, holds guesses of the z_i."""
+        x, reports = self._solve(b, None if warm is None
+                                 else [np.conj(w) for w in warm])
+        z = np.conj(x, out=x)
+        if warm is not None:
+            for w, z_i in zip(warm, z):
+                w[...] = z_i
+        return z, reports
 
     def scattered_field(self, view: int) -> tuple[np.ndarray, SolveReport]:
-        """Scattered field on the extended domain."""
-        return self._solve(self.f_ext * self.incident_extended(view))
+        """Scattered field of one view on the extended domain."""
+        u_sc, reports = self._solve(self.f_ext * self._incident([view]))
+        return u_sc[0], reports[0]
+
+    def fields(self, views, warm=None
+               ) -> tuple[np.ndarray, list[SolveReport]]:
+        """Total fields of ``views`` on the region of interest, a stack of
+        shape (len(views), s, s), and one report per view.
+
+        ``warm``, an optional sequence of one complex array on the extended
+        grid per view (for instance rows of a (num_views, se, se) block),
+        holds guesses of the scattered fields, such as the solutions at a
+        nearby potential: the multigrid path starts from them, and both
+        paths overwrite them with the new scattered fields."""
+        u_in = self._incident(views)
+        u_sc, reports = self._solve(self.f_ext * u_in, warm)
+        if warm is not None:
+            for w, u in zip(warm, u_sc):
+                w[...] = u
+        u_sc += u_in
+        return restrict_to_roi(u_sc, self.eg), reports
 
     def total_field(self, view: int, warm: np.ndarray | None = None
                     ) -> tuple[np.ndarray, SolveReport]:
-        """Total field on the region of interest.
+        """Total field of one view: the one-view case of :meth:`fields`,
+        with ``warm`` a single guess buffer."""
+        u, reports = self.fields([view], None if warm is None else [warm])
+        return u[0], reports[0]
 
-        ``warm``, an optional complex array on the extended grid, holds a
-        guess of the scattered field (for instance the previous solution
-        at a nearby potential): the solve starts from it and overwrites
-        it with the new scattered field."""
-        u_in = self.incident_extended(view)
-        u_sc, report = self._solve(self.f_ext * u_in, warm)
-        if warm is not None:
-            warm[...] = u_sc
-        u_tot = restrict_to_roi(u_sc + u_in, self.eg)
-        return u_tot, report
-
-    def jvp(self, view: int, v: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        """Directional derivative of the measurement map at the stored
-        potential, in the direction ``v`` (a real field on the region of
-        interest): d/dt [G (f + t v) u(f + t v)] at t = 0."""
-        u_tot, _ = self.total_field(view)
-        rhs = embed_potential((v * u_tot).astype(complex), self.eg)
-        du_ext, report = self._solve(rhs)
-        du = restrict_to_roi(du_ext, self.eg)
-        return self.measure(view, v * u_tot + self.f * du), report
+    def jvp(self, views, v: np.ndarray
+            ) -> tuple[list[np.ndarray], list[SolveReport]]:
+        """Directional derivatives of the measurement map of each of
+        ``views`` at the stored potential, in the direction ``v`` (a real
+        field on the region of interest): d/dt [G (f + t v) u(f + t v)] at
+        t = 0, which is G (v u + f du) with A du = v u.  One batched solve
+        gives the fields, one the tangents; the reports are the latter's."""
+        u, _ = self.fields(views)
+        source = v * u
+        du, reports = self._solve(embed_potential(source, self.eg))
+        return self.measure(
+            views, source + self.f * restrict_to_roi(du, self.eg)), reports
 
     def adjoint_solve(self, rhs: np.ndarray, warm: np.ndarray | None = None
                       ) -> tuple[np.ndarray, SolveReport]:
-        """Solve A^H z = rhs on the extended domain.  The operator is
-        complex symmetric, so this is a conjugated solve with the same
-        multigrid hierarchy.
+        """Solve A^H z = rhs on the extended domain, the one-field case of
+        the batched adjoint solve.  ``warm``, an optional complex array on
+        the extended grid, holds a guess of z; the solve overwrites it with
+        z."""
+        z, reports = self._solve_conj(np.conj(rhs)[None],
+                                      None if warm is None else [warm])
+        return z[0], reports[0]
 
-        ``warm``, an optional complex array on the extended grid, holds a
-        guess of z: the solve starts from it and overwrites it with z."""
-        x, report = self._solve(np.conj(rhs),
-                                None if warm is None else np.conj(warm))
-        z = np.conj(x)
-        if warm is not None:
-            warm[...] = z
-        return z, report
+    def adjoint(self, views, r, warm=None
+                ) -> tuple[np.ndarray, list[SolveReport]]:
+        """Adjoint of the measurement map's response to a change of the
+        induced source, for each of ``views`` with sensor vector ``r[i]``:
+        the stack w_i + restrict(A^{-H} embed(f w_i)) with w_i = G^H r_i.
+        Times conj(u_i), its real part is the gradient of
+        0.5 ||H(f) - y||^2 at residual r_i = H(f) - y (see
+        :func:`gradient_data_fidelity`).  ``warm`` holds guesses of the
+        adjoint solutions on the extended grid, as in :meth:`fields`."""
+        b = embed_potential(self.f * self.measure_adjoint(views, r), self.eg)
+        z, reports = self._solve_conj(np.conj(b, out=b), warm)
+        # G^H r again rather than held through the solve: a lower peak
+        w = self.measure_adjoint(views, r)
+        w += restrict_to_roi(z, self.eg)
+        return w, reports
 
 
 class LisForward(_ForwardModel):
     """Lippmann-Schwinger forward model for a fixed scattering potential,
     on the scene's Green kernel."""
 
+    def fields(self, views) -> tuple[np.ndarray, list[SolveReport]]:
+        """Total fields of ``views`` on the region of interest, one Krylov
+        solve per view."""
+        solved = [solve_lis(self.scene.green_kernel, self.f, u_in,
+                            tol=self.cfg.tol, max_iter=self.cfg.max_iter)
+                  for u_in in _plane_waves(self.scene, self.scene.grid,
+                                           views)]
+        return np.stack([u for u, _ in solved]), [r for _, r in solved]
+
     def total_field(self, view: int) -> tuple[np.ndarray, SolveReport]:
-        """Total field on the region of interest."""
-        g = self.scene.geometry
-        u_in = plane_wave(self.scene.grid, g.directions[view], self.scene.k0,
-                          self.scene.eta_b, g.u0)
-        return solve_lis(self.scene.green_kernel, self.f, u_in,
-                         tol=self.cfg.tol, max_iter=self.cfg.max_iter)
+        """Total field of one view, the one-view case of :meth:`fields`."""
+        u, reports = self.fields([view])
+        return u[0], reports[0]
 
 
 def forward_mgh(scene: ScatteringScene, f: np.ndarray, view: int,
                 cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
     """Predicted scattered-field measurements for one view with the
     multigrid-preconditioned Helmholtz model."""
-    return HelmholtzForward(scene, f, cfg).predict(view)
+    y, reports = HelmholtzForward(scene, f, cfg).predict([view])
+    return y[0], reports[0]
 
 
 def forward_lis(scene: ScatteringScene, f: np.ndarray, view: int,
                 cfg: SolverConfig) -> tuple[np.ndarray, SolveReport]:
     """Predicted scattered-field measurements for one view with the
     Lippmann-Schwinger model."""
-    return LisForward(scene, f, cfg).predict(view)
+    y, reports = LisForward(scene, f, cfg).predict([view])
+    return y[0], reports[0]

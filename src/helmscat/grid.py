@@ -125,20 +125,22 @@ def build_extended_grid(inner: Grid2D, abl_points: int, beta: float,
 
 
 def embed_potential(f: np.ndarray, eg: ExtendedGrid2D) -> np.ndarray:
-    """Copy a real field from the region of interest into the extended
-    domain; the ABL/pad region is zero (the object may not overlap it)."""
+    """Copy a field from the region of interest into the extended domain;
+    the ABL/pad region is zero (the object may not overlap it).  Leading
+    axes of ``f`` are kept: a stack of fields embeds field by field."""
     s = eg.inner.points_per_side
-    if f.shape != (s, s):
+    if f.shape[-2:] != (s, s):
         raise ValueError(f"field shape {f.shape} does not match inner grid {s}")
     se = eg.points_per_side
-    out = np.zeros((se, se), dtype=f.dtype)
-    out[eg.inner_slice] = f
+    out = np.zeros(f.shape[:-2] + (se, se), dtype=f.dtype)
+    out[(...,) + eg.inner_slice] = f
     return out
 
 
 def restrict_to_roi(u: np.ndarray, eg: ExtendedGrid2D) -> np.ndarray:
-    """Pure index selection of the region-of-interest block."""
+    """Pure index selection of the region-of-interest block, of each field
+    of a stack when ``u`` has leading axes."""
     se = eg.points_per_side
-    if u.shape != (se, se):
+    if u.shape[-2:] != (se, se):
         raise ValueError(f"field shape {u.shape} does not match extended grid {se}")
-    return u[eg.inner_slice].copy()
+    return u[(...,) + eg.inner_slice].copy()

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import HelmholtzForward, ScatteringScene, SolverConfig
-from .grid import build_extended_grid, embed_potential, restrict_to_roi
+from .forward import (HelmholtzForward, ScatteringScene, SolverConfig,
+                      solves_directly)
+from .grid import build_extended_grid
 
 
 @dataclass
@@ -42,8 +43,14 @@ class ReconstructionHistory:
 def data_fidelity(scene: ScatteringScene, f: np.ndarray, view: int,
                   y: np.ndarray, cfg: SolverConfig) -> float:
     """0.5 * || H(f) - y ||^2 for one view."""
-    y_pred, _ = HelmholtzForward(scene, f, cfg).predict(view)
-    return 0.5 * float(np.linalg.norm(y_pred - y)**2)
+    y_pred, _ = HelmholtzForward(scene, f, cfg).predict([view])
+    return 0.5 * float(np.linalg.norm(y_pred[0] - y)**2)
+
+
+def _require_converged(kind: str, views, reports):
+    for q, rep in zip(views, reports):
+        if not rep.converged:
+            raise RuntimeError(f"{kind} solve failed for view {q}")
 
 
 def gradient_data_fidelity(scene: ScatteringScene, f: np.ndarray,
@@ -58,26 +65,23 @@ def gradient_data_fidelity(scene: ScatteringScene, f: np.ndarray,
     (``warm[1, q]``) of an earlier call: the solves start from them and
     overwrite them.
 
-    Per view: r = H(f) - y, w = G^H r on the region of interest, then
+    All views of the subset are solved together, forward then adjoint
+    (see :class:`HelmholtzForward`).  Per view: r = H(f) - y, w = G^H r on
+    the region of interest, then
     grad += Re(conj(u) * (w + restrict(A^{-H} embed(f * w)))).
     """
     subset = sorted(subset)
+    fwd_warm = None if warm is None else [warm[0, q] for q in subset]
+    adj_warm = None if warm is None else [warm[1, q] for q in subset]
     fwd = HelmholtzForward(scene, f, cfg)
-    grad = np.zeros_like(fwd.f)
-    fidelity = 0.0
-    for q in subset:
-        warm_q = (None, None) if warm is None else warm[:, q]
-        u_tot, rep = fwd.total_field(q, warm_q[0])
-        if not rep.converged:
-            raise RuntimeError(f"forward solve failed for view {q}")
-        resid = fwd.measure(q, fwd.f * u_tot) - measurements.views[q]
-        fidelity += 0.5 * float(np.linalg.norm(resid)**2)
-        w = fwd.measure_adjoint(q, resid)
-        rhs = embed_potential((fwd.f * w).astype(complex), fwd.eg)
-        z, rep_adj = fwd.adjoint_solve(rhs, warm_q[1])
-        if not rep_adj.converged:
-            raise RuntimeError(f"adjoint solve failed for view {q}")
-        grad += np.real(np.conj(u_tot) * (w + restrict_to_roi(z, fwd.eg)))
+    u, reports = fwd.fields(subset, fwd_warm)
+    _require_converged("forward", subset, reports)
+    resid = [y - measurements.views[q]
+             for q, y in zip(subset, fwd.measure(subset, fwd.f * u))]
+    fidelity = sum(0.5 * float(np.linalg.norm(r)**2) for r in resid)
+    back, reports = fwd.adjoint(subset, resid, adj_warm)
+    _require_converged("adjoint", subset, reports)
+    grad = np.real(np.conj(u) * back).sum(axis=0)
     return grad, fidelity, fwd.hier.meter.total
 
 
@@ -181,12 +185,14 @@ def reconstruct_fbs(measurements, scene: ScatteringScene,
     history = ReconstructionHistory()
     t0 = time.perf_counter()
     scene.sensor_operator  # build it before any LU: a lower memory peak
-    # one block of warm starts: late iterates barely move, so each view's
-    # previous forward and adjoint solutions are good initial guesses
-    se = build_extended_grid(scene.grid, config.solver.abl_points,
-                             config.solver.beta,
-                             config.solver.levels).points_per_side
-    warm = np.zeros((2, scene.geometry.num_views, se, se), dtype=complex)
+    # on the multigrid path, one block of warm starts: late iterates barely
+    # move, so each view's previous forward and adjoint solutions are good
+    # initial guesses.  The direct path solves exactly and needs none.
+    eg = build_extended_grid(scene.grid, config.solver.abl_points,
+                             config.solver.beta, config.solver.levels)
+    se = eg.points_per_side
+    warm = None if solves_directly(eg) else np.zeros(
+        (2, scene.geometry.num_views, se, se), dtype=complex)
     work = 0.0
     for _ in range(config.iterations):
         subset = select_subset(rng, scene.geometry.num_views,

@@ -128,17 +128,29 @@ def write_field(path: str | Path, arr: np.ndarray):
 
 
 def read_field(path: str | Path) -> np.ndarray:
+    """Inverse of :func:`write_field`.  Raises ``ValueError`` naming the
+    file on a wrong magic, a truncated header, an unknown kind, or a body
+    whose length does not match the header."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not an HSF1 field file")
-        rows, cols, kind = struct.unpack("<IIB", fh.read(9))
+        header = fh.read(9)
+        if len(header) != 9:
+            raise ValueError(f"{path}: truncated HSF1 header "
+                             f"({len(header)} of 9 bytes)")
+        rows, cols, kind = struct.unpack("<IIB", header)
         body = fh.read()
+    if kind not in (0, 1):
+        raise ValueError(f"{path}: unknown field kind {kind}")
+    size = rows * cols * 8 * (1 + kind)
+    if len(body) != size:
+        raise ValueError(f"{path}: HSF1 body has {len(body)} bytes, the "
+                         f"{rows}x{cols} header needs {size}")
+    raw = np.frombuffer(body, dtype="<f8")
     if kind == 0:
-        return np.frombuffer(body, dtype="<f8").reshape(rows, cols).copy()
-    if kind == 1:
-        raw = np.frombuffer(body, dtype="<f8").reshape(rows, cols, 2)
-        return (raw[..., 0] + 1j * raw[..., 1]).copy()
-    raise ValueError(f"{path}: unknown field kind {kind}")
+        return raw.reshape(rows, cols).copy()
+    raw = raw.reshape(rows, cols, 2)
+    return raw[..., 0] + 1j * raw[..., 1]
 
 
 def _fmt(x) -> str:

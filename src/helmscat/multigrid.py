@@ -159,8 +159,13 @@ class MgHierarchy:
         self.meter = WorkUnitMeter()
 
     def coarsest_solve(self, b: np.ndarray) -> np.ndarray:
+        """Exact solve on the coarsest level, for one field or a stack of
+        fields (shape (..., s, s)): a stack goes to SuperLU as one
+        multi-column solve, each field a Fortran-ordered column, and every
+        column comes out bit-identical to its own single solve."""
         s = self.levels[-1].side
-        return self._coarse_lu.solve(b.ravel()).reshape(s, s)
+        cols = b.reshape(-1, s * s).T
+        return self._coarse_lu.solve(cols).T.reshape(b.shape)
 
     def as_preconditioner(self):
         """Callable applying one multigrid cycle from a zero initial guess

@@ -204,7 +204,7 @@ def test_criterion_4_gradient_and_jvp():
     rel_grad = abs(an - fd) / abs(fd)
 
     fwd = hs.HelmholtzForward(scene, f, cfg)
-    dy, _ = fwd.jvp(0, v)
+    (dy,), _ = fwd.jvp([0], v)
     eps2 = 1e-6
     fw1 = hs.HelmholtzForward(scene, f + eps2 * v, cfg)
     u1, _ = fw1.total_field(0)

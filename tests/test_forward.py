@@ -79,7 +79,10 @@ def test_sensor_operator_matches_hankel1():
     np.testing.assert_allclose(G, ref, rtol=1e-13)
 
 
+@pytest.mark.usefixtures("multigrid_path")
 def test_total_field_evaluates_incident_wave_once(monkeypatch):
+    # the multigrid path evaluates a view's incident wave per solve; the
+    # direct path keeps them on the scene (see the caching test below)
     from helmscat import forward
     scene = _small_scene()
     cfg = hs.SolverConfig(abl_points=4, beta=0.15, levels=2)
@@ -335,3 +338,78 @@ def test_direct_path_stops_on_nan_rhs():
     rhs[10, 20] = np.nan
     _, rep = fwd.adjoint_solve(rhs)
     assert not rep.converged
+
+
+def test_batched_direct_solves_match_single_view_solves():
+    scene, f = _reconstruct_64_scene()
+    cfg = hs.SolverConfig(abl_points=4, beta=0.0, levels=2)
+    fwd = hs.HelmholtzForward(scene, f, cfg)
+    assert fwd.direct and len(fwd.hier.levels) == 1
+    views = [1, 4, 5, 7]
+    u, reports = fwd.fields(views)
+    assert u.shape == (4, 64, 64)
+    for i, q in enumerate(views):
+        u_q, rep_q = fwd.total_field(q)
+        np.testing.assert_array_equal(u[i], u_q)
+        assert reports[i] == rep_q
+        assert rep_q.converged and rep_q.iterations == 1
+        assert rep_q.work_units == 0.0
+    rng = np.random.default_rng(2)
+    rhs = rng.standard_normal((3, 73, 73)) + 1j * rng.standard_normal(
+        (3, 73, 73))
+    z, reports = fwd._solve_conj(np.conj(rhs))
+    for i in range(3):
+        z_i, rep_i = fwd.adjoint_solve(rhs[i])
+        np.testing.assert_array_equal(z[i], z_i)
+        assert reports[i] == rep_i and rep_i.converged
+    res = fwd.op.apply_adjoint(z[2]) - rhs[2]
+    assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs[2])
+
+
+def test_direct_nan_rhs_fails_only_its_view():
+    scene, f = _reconstruct_64_scene()
+    cfg = hs.SolverConfig(abl_points=4, beta=0.0, levels=2)
+    fwd = hs.HelmholtzForward(scene, f, cfg)
+    r = [np.ones(40, dtype=complex) for _ in range(3)]
+    r[1][7] = np.nan
+    back, reports = fwd.adjoint([0, 3, 6], r)
+    assert [rep.converged for rep in reports] == [True, False, True]
+    assert all(rep.iterations == 1 and rep.work_units == 0.0
+               for rep in reports)
+    assert not np.isfinite(reports[1].residual_history[-1])
+    assert np.all(np.isfinite(back[[0, 2]]))
+
+
+def test_jvp_batches_views():
+    scene, f = _reconstruct_64_scene()
+    cfg = hs.SolverConfig(abl_points=4, beta=0.0, levels=2)
+    fwd = hs.HelmholtzForward(scene, f, cfg)
+    v = np.random.default_rng(3).standard_normal(f.shape)
+    dy, reports = fwd.jvp([2, 5], v)
+    assert len(dy) == 2 and all(rep.converged for rep in reports)
+    (dy5,), _ = fwd.jvp([5], v)
+    np.testing.assert_allclose(dy[1], dy5, rtol=1e-13, atol=0)
+
+
+def test_direct_path_caches_incident_waves_on_the_scene(monkeypatch):
+    from helmscat import forward
+    scene, f = _reconstruct_64_scene()
+    cfg = hs.SolverConfig(abl_points=4, beta=0.0, levels=2)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return hs.plane_wave(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "plane_wave", counting)
+    fwd = hs.HelmholtzForward(scene, f, cfg)
+    u, _ = fwd.fields([3])
+    assert len(calls) == scene.geometry.num_views
+    hs.HelmholtzForward(scene, 0.5 * f, cfg).fields(range(8))
+    assert len(calls) == scene.geometry.num_views
+    waves = scene.incident_waves(fwd._ext_grid)
+    assert waves.shape == (8, 73, 73) and not waves.flags.writeable
+    ext = fwd._ext_grid
+    np.testing.assert_array_equal(
+        waves[3], hs.plane_wave(ext, scene.geometry.directions[3], scene.k0,
+                                scene.eta_b))

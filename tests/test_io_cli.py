@@ -442,3 +442,64 @@ def test_bench_rejects_bad_lists(tmp_path, capsys, monkeypatch, line):
     _assert_input_error(capsys, ["bench", "--config", str(cfg),
                                  "--out-dir", str(out)], key)
     assert not (out / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("entry", ["0,0,4,nan", "0,0,nan,1.1", "inf,0,4,1.1",
+                                   "0,0,four,1.1", "0,0,4"])
+def test_phantom_disks_reject_bad_entries(tmp_path, capsys, entry):
+    cfg = _write(tmp_path, SIM.replace("scene = disk", "scene = phantom")
+                 + f"phantom_disks = 2,1,1.5,1.05; {entry}\n")
+    out = tmp_path / "pout"
+    _assert_input_error(capsys, ["simulate", "--config", str(cfg),
+                                 "--out-dir", str(out)],
+                        f"phantom_disks entry {entry!r}")
+    assert not (out / "measurements.csv").exists()
+
+
+@pytest.mark.parametrize("cut", [6, 12, 13 + 17 * 17 * 8 - 1, None])
+def test_field_truncated_or_overlong(tmp_path, cut):
+    path = tmp_path / "t.hsf"
+    io.write_field(path, np.ones((17, 17)))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:cut] if cut is not None else raw + bytes(8))
+    with pytest.raises(ValueError, match="t.hsf"):
+        io.read_field(path)
+
+
+def test_scene_file_truncated(tmp_path, capsys):
+    (tmp_path / "short.hsf").write_bytes(b"HSF1\x11\x00")
+    cfg = _write(tmp_path, SIM.replace("scene = disk", "scene = file")
+                 + f"scene_file = {tmp_path / 'short.hsf'}\n")
+    _assert_input_error(capsys, ["simulate", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "tout")],
+                        "short.hsf: truncated HSF1 header")
+
+
+@pytest.mark.parametrize("truth, needle", [
+    (np.ones((16, 16)), "must be a real field on the 17x17 grid"),
+    (np.ones((17, 17), dtype=complex), "must be a real field"),
+    (np.where(np.eye(17) > 0, np.nan, 1.0), "non-finite values"),
+    (None, "truncated HSF1 header")])
+def test_ground_truth_checked_before_any_solve(tmp_path, capsys, monkeypatch,
+                                               truth, needle):
+    from helmscat import cli
+    sim = _write(tmp_path, SIM)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(sim),
+                 "--out-dir", str(out)]) == 0
+    path = tmp_path / "truth.hsf"
+    if truth is None:
+        path.write_bytes(b"HSF1\x11\x00")
+    else:
+        io.write_field(path, truth)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("ground truth checked after a solve")
+
+    monkeypatch.setattr(cli, "reconstruct_fbs", no_solve)
+    rec = _reconstruct_cfg(tmp_path, out / "measurements.csv", 2,
+                           extra=f"ground_truth_file = {path}\n")
+    rout = tmp_path / "rout"
+    _assert_input_error(capsys, ["reconstruct", "--config", str(rec),
+                                 "--out-dir", str(rout)], needle)
+    assert not (rout / "history.csv").exists()

@@ -10,8 +10,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (ExtendedGrid2D, Grid2D, build_extended_grid,
-                   embed_potential, restrict_to_roi)
+from .grid import (Grid2D, build_extended_grid, embed_potential,
+                   restrict_to_roi)
 from .helmholtz import assemble
 from .krylov import SolveReport, bicgstab
 from .lis import GreenKernel, green_value, sample_green_kernel, solve_lis
@@ -233,20 +233,15 @@ def _plane_waves(scene: ScatteringScene, grid: Grid2D, views) -> np.ndarray:
                                 g.u0) for q in views])
 
 
-def solves_directly(eg: ExtendedGrid2D) -> bool:
-    """True when the Helmholtz model solves on ``eg`` with one sparse LU of
-    the whole operator rather than with multigrid."""
-    return eg.points_per_side**2 <= _DIRECT_MAX_UNKNOWNS
-
-
 class HelmholtzForward(_ForwardModel):
     """Helmholtz forward model for a fixed scattering potential: caches the
     extended grid, operator, and multigrid hierarchy across views.
 
     Every solve takes a stack of right-hand sides, one per view.  On the
-    direct path (see :func:`solves_directly`) the stack is one multi-column
-    LU solve; on the multigrid path each view runs its own
-    multigrid-preconditioned Bi-CGSTAB, which can start from a warm guess."""
+    direct path (``direct``: at most ``_DIRECT_MAX_UNKNOWNS`` unknowns) the
+    stack is one multi-column LU solve; on the multigrid path each view
+    runs its own multigrid-preconditioned Bi-CGSTAB, which can start from a
+    warm guess (see :meth:`fields`)."""
 
     def __init__(self, scene: ScatteringScene, f: np.ndarray,
                  cfg: SolverConfig):
@@ -261,7 +256,7 @@ class HelmholtzForward(_ForwardModel):
         self.op = assemble(self.eg, eta_sq, k0, cfg.beta)
         # one level: the "cycle" is the exact coarsest solve of the whole
         # operator
-        self.direct = solves_directly(self.eg)
+        self.direct = self.eg.points_per_side**2 <= _DIRECT_MAX_UNKNOWNS
         self.hier = MgHierarchy(self.op, 1 if self.direct else cfg.levels,
                                 cfg.nu1, cfg.nu2, cfg.omega, cfg.cycle_type)
         self._precond = self.hier.as_preconditioner()
@@ -284,23 +279,31 @@ class HelmholtzForward(_ForwardModel):
     def incident_extended(self, view: int) -> np.ndarray:
         return self._incident([view])[0]
 
-    def _solve(self, b: np.ndarray, x0=None
+    def _solve(self, b: np.ndarray, warm=None, keys=()
                ) -> tuple[np.ndarray, list[SolveReport]]:
         """Solve A x_i = b_i for each field of the stack ``b``.
 
         Direct path: one multi-column LU solve, then a residual check per
         column, ||b_i - A x_i|| <= tol ||b_i||, reported as one iteration
         with no work units (a non-finite residual does not converge); the
-        solve is exact, so ``x0`` is not used.  Multigrid path: Bi-CGSTAB
-        per field, preconditioned by the hierarchy and started from
-        ``x0[i]`` when guesses are given."""
+        solve is exact, so ``warm`` is neither read nor filled.  Multigrid
+        path: Bi-CGSTAB per field, preconditioned by the hierarchy.  With a
+        ``warm`` dict, field i starts from ``warm[keys[i]]`` when that
+        holds a guess, and its solution is copied into that entry, a buffer
+        allocated on first use and then overwritten in place."""
         if not self.direct:
-            solved = [bicgstab(self.op.apply, b[i], apply_M=self._precond,
-                               x0=None if x0 is None else x0[i],
-                               tol=self.cfg.tol, max_iter=self.cfg.max_iter,
+            guesses = ([None] * len(b) if warm is None
+                       else [warm.get(k) for k in keys])
+            solved = [bicgstab(self.op.apply, b_i, apply_M=self._precond,
+                               x0=x0, tol=self.cfg.tol,
+                               max_iter=self.cfg.max_iter,
                                work_meter=self.hier.meter)
-                      for i in range(len(b))]
-            return np.stack([x for x, _ in solved]), [r for _, r in solved]
+                      for b_i, x0 in zip(b, guesses)]
+            x = np.stack([x_i for x_i, _ in solved])
+            if warm is not None:
+                for k, x_i in zip(keys, x):
+                    warm.setdefault(k, np.empty_like(x_i))[...] = x_i
+            return x, [r for _, r in solved]
         x = self.hier.coarsest_solve(b)
         reports = []
         for b_i, x_i in zip(b, x):
@@ -313,19 +316,6 @@ class HelmholtzForward(_ForwardModel):
                 math.isfinite(r_norm) and r_norm <= self.cfg.tol * b_norm))
         return x, reports
 
-    def _solve_conj(self, b: np.ndarray, warm=None
-                    ) -> tuple[np.ndarray, list[SolveReport]]:
-        """Solve A^H z_i = conj(b_i) for each field of the stack ``b``.  The
-        operator is complex symmetric, so z_i = conj(x_i) with A x_i = b_i.
-        ``warm``, as in :meth:`fields`, holds guesses of the z_i."""
-        x, reports = self._solve(b, None if warm is None
-                                 else [np.conj(w) for w in warm])
-        z = np.conj(x, out=x)
-        if warm is not None:
-            for w, z_i in zip(warm, z):
-                w[...] = z_i
-        return z, reports
-
     def scattered_field(self, view: int) -> tuple[np.ndarray, SolveReport]:
         """Scattered field of one view on the extended domain."""
         u_sc, reports = self._solve(self.f_ext * self._incident([view]))
@@ -336,24 +326,20 @@ class HelmholtzForward(_ForwardModel):
         """Total fields of ``views`` on the region of interest, a stack of
         shape (len(views), s, s), and one report per view.
 
-        ``warm``, an optional sequence of one complex array on the extended
-        grid per view (for instance rows of a (num_views, se, se) block),
-        holds guesses of the scattered fields, such as the solutions at a
-        nearby potential: the multigrid path starts from them, and both
-        paths overwrite them with the new scattered fields."""
+        ``warm``, an optional dict that the caller keeps across calls (and
+        across models of nearby potentials) and never reads: on the
+        multigrid path each view's solve starts from that view's scattered
+        field stored there by an earlier call, if any, and stores its new
+        one.  The direct path neither reads nor fills it."""
         u_in = self._incident(views)
-        u_sc, reports = self._solve(self.f_ext * u_in, warm)
-        if warm is not None:
-            for w, u in zip(warm, u_sc):
-                w[...] = u
+        u_sc, reports = self._solve(self.f_ext * u_in, warm,
+                                    [("forward", q) for q in views])
         u_sc += u_in
         return restrict_to_roi(u_sc, self.eg), reports
 
-    def total_field(self, view: int, warm: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, SolveReport]:
-        """Total field of one view: the one-view case of :meth:`fields`,
-        with ``warm`` a single guess buffer."""
-        u, reports = self.fields([view], None if warm is None else [warm])
+    def total_field(self, view: int) -> tuple[np.ndarray, SolveReport]:
+        """Total field of one view, the one-view case of :meth:`fields`."""
+        u, reports = self.fields([view])
         return u[0], reports[0]
 
     def jvp(self, views, v: np.ndarray
@@ -369,15 +355,12 @@ class HelmholtzForward(_ForwardModel):
         return self.measure(
             views, source + self.f * restrict_to_roi(du, self.eg)), reports
 
-    def adjoint_solve(self, rhs: np.ndarray, warm: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, SolveReport]:
+    def adjoint_solve(self, rhs: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         """Solve A^H z = rhs on the extended domain, the one-field case of
-        the batched adjoint solve.  ``warm``, an optional complex array on
-        the extended grid, holds a guess of z; the solve overwrites it with
-        z."""
-        z, reports = self._solve_conj(np.conj(rhs)[None],
-                                      None if warm is None else [warm])
-        return z[0], reports[0]
+        the solve in :meth:`adjoint`: the operator is complex symmetric, so
+        z = conj(x) with A x = conj(rhs)."""
+        x, reports = self._solve(np.conj(rhs)[None])
+        return np.conj(x[0]), reports[0]
 
     def adjoint(self, views, r, warm=None
                 ) -> tuple[np.ndarray, list[SolveReport]]:
@@ -386,13 +369,15 @@ class HelmholtzForward(_ForwardModel):
         the stack w_i + restrict(A^{-H} embed(f w_i)) with w_i = G^H r_i.
         Times conj(u_i), its real part is the gradient of
         0.5 ||H(f) - y||^2 at residual r_i = H(f) - y (see
-        :func:`gradient_data_fidelity`).  ``warm`` holds guesses of the
-        adjoint solutions on the extended grid, as in :meth:`fields`."""
+        :func:`gradient_data_fidelity`).  The solve is A x_i = conj(b_i)
+        with b_i = embed(f w_i), as A is complex symmetric; ``warm`` keeps
+        the x_i, as :meth:`fields` keeps the scattered fields."""
         b = embed_potential(self.f * self.measure_adjoint(views, r), self.eg)
-        z, reports = self._solve_conj(np.conj(b, out=b), warm)
+        x, reports = self._solve(np.conj(b, out=b), warm,
+                                 [("adjoint", q) for q in views])
         # G^H r again rather than held through the solve: a lower peak
         w = self.measure_adjoint(views, r)
-        w += restrict_to_roi(z, self.eg)
+        w += restrict_to_roi(np.conj(x, out=x), self.eg)
         return w, reports
 
 

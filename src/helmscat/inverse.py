@@ -10,9 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import (HelmholtzForward, ScatteringScene, SolverConfig,
-                      solves_directly)
-from .grid import build_extended_grid
+from .forward import HelmholtzForward, ScatteringScene, SolverConfig
 
 
 @dataclass
@@ -40,9 +38,19 @@ class ReconstructionHistory:
     seconds: list[float] = field(default_factory=list)
 
 
+def _check_measurement_length(scene: ScatteringScene, view: int, y):
+    """Raises ValueError unless ``y`` holds one value per active sensor of
+    ``view``: a vector of another length would broadcast silently."""
+    count = int(np.count_nonzero(scene.geometry.active[view]))
+    if np.shape(y) != (count,):
+        raise ValueError(f"view {view} has {count} active sensors but "
+                         f"{np.size(y)} measurements")
+
+
 def data_fidelity(scene: ScatteringScene, f: np.ndarray, view: int,
                   y: np.ndarray, cfg: SolverConfig) -> float:
     """0.5 * || H(f) - y ||^2 for one view."""
+    _check_measurement_length(scene, view, y)
     y_pred, _ = HelmholtzForward(scene, f, cfg).predict([view])
     return 0.5 * float(np.linalg.norm(y_pred[0] - y)**2)
 
@@ -55,15 +63,14 @@ def _require_converged(kind: str, views, reports):
 
 def gradient_data_fidelity(scene: ScatteringScene, f: np.ndarray,
                            subset, measurements, cfg: SolverConfig,
-                           warm: np.ndarray | None = None
+                           warm: dict | None = None
                            ) -> tuple[np.ndarray, float, float]:
     """Summed gradient of the per-view quadratic fidelities over ``subset``
     (fixed ascending view order), plus the subset fidelity value and the
-    multigrid work units spent.  ``warm``, an optional complex array of
-    shape (2, num_views, se, se) on the extended grid of side se, holds per
-    view the scattered field (``warm[0, q]``) and the adjoint solution
-    (``warm[1, q]``) of an earlier call: the solves start from them and
-    overwrite them.
+    multigrid work units spent.  ``warm``, an optional dict that the caller
+    keeps across calls and never reads, lets the forward model start each
+    view's solves from its solutions of an earlier call (see
+    :meth:`HelmholtzForward.fields`).
 
     All views of the subset are solved together, forward then adjoint
     (see :class:`HelmholtzForward`).  Per view: r = H(f) - y, w = G^H r on
@@ -71,15 +78,15 @@ def gradient_data_fidelity(scene: ScatteringScene, f: np.ndarray,
     grad += Re(conj(u) * (w + restrict(A^{-H} embed(f * w)))).
     """
     subset = sorted(subset)
-    fwd_warm = None if warm is None else [warm[0, q] for q in subset]
-    adj_warm = None if warm is None else [warm[1, q] for q in subset]
+    for q in subset:
+        _check_measurement_length(scene, q, measurements.views[q])
     fwd = HelmholtzForward(scene, f, cfg)
-    u, reports = fwd.fields(subset, fwd_warm)
+    u, reports = fwd.fields(subset, warm)
     _require_converged("forward", subset, reports)
     resid = [y - measurements.views[q]
              for q, y in zip(subset, fwd.measure(subset, fwd.f * u))]
     fidelity = sum(0.5 * float(np.linalg.norm(r)**2) for r in resid)
-    back, reports = fwd.adjoint(subset, resid, adj_warm)
+    back, reports = fwd.adjoint(subset, resid, warm)
     _require_converged("adjoint", subset, reports)
     grad = np.real(np.conj(u) * back).sum(axis=0)
     return grad, fidelity, fwd.hier.meter.total
@@ -175,8 +182,14 @@ def reconstruct_fbs(measurements, scene: ScatteringScene,
     data fidelity at the extrapolated point plus tau * TV of the new
     iterate.
     """
-    if measurements.num_views != scene.geometry.num_views:
+    num_views = scene.geometry.num_views
+    if measurements.num_views != num_views:
         raise ValueError("measurement views do not match geometry")
+    for q, y in enumerate(measurements.views):
+        _check_measurement_length(scene, q, y)
+    if config.subset_size > num_views:
+        raise ValueError(f"subset_size {config.subset_size} exceeds the "
+                         f"{num_views} views")
     s = scene.grid.points_per_side
     f = np.zeros((s, s))
     f_bar = f.copy()
@@ -185,18 +198,12 @@ def reconstruct_fbs(measurements, scene: ScatteringScene,
     history = ReconstructionHistory()
     t0 = time.perf_counter()
     scene.sensor_operator  # build it before any LU: a lower memory peak
-    # on the multigrid path, one block of warm starts: late iterates barely
-    # move, so each view's previous forward and adjoint solutions are good
-    # initial guesses.  The direct path solves exactly and needs none.
-    eg = build_extended_grid(scene.grid, config.solver.abl_points,
-                             config.solver.beta, config.solver.levels)
-    se = eg.points_per_side
-    warm = None if solves_directly(eg) else np.zeros(
-        (2, scene.geometry.num_views, se, se), dtype=complex)
+    # late iterates barely move, so each view's previous forward and
+    # adjoint solutions are good initial guesses
+    warm = {}
     work = 0.0
     for _ in range(config.iterations):
-        subset = select_subset(rng, scene.geometry.num_views,
-                               config.subset_size)
+        subset = select_subset(rng, num_views, config.subset_size)
         grad, fidelity, wu = gradient_data_fidelity(
             scene, f_bar, subset, measurements, config.solver, warm=warm)
         f_new = tv_prox(f_bar - config.gamma * grad,

@@ -188,18 +188,20 @@ def test_warm_total_field_matches_cold_and_fills_buffer():
     scene, f, cfg = _warm_problem()
     cold = hs.HelmholtzForward(scene, f, cfg)
     u_cold, rep_cold = cold.total_field(1)
-    # the guess: the exact solution at a nearby potential
-    near = hs.HelmholtzForward(scene, 0.9 * f, cfg)
-    warm = near.scattered_field(1)[0]
-    u_warm, rep_warm = cold.total_field(1, warm)
+    # the guess: the solution at a nearby potential
+    warm = {}
+    hs.HelmholtzForward(scene, 0.9 * f, cfg).fields([1], warm)
+    buf = warm[("forward", 1)]
+    (u_warm,), (rep_warm,) = cold.fields([1], warm)
     assert rep_warm.converged
     assert rep_warm.iterations < rep_cold.iterations
     assert np.linalg.norm(u_warm - u_cold) <= 1e-8 * np.linalg.norm(u_cold)
-    # the buffer now holds the new scattered field on the extended grid
+    # the same buffer now holds the new scattered field on the extended grid
+    assert list(warm) == [("forward", 1)] and warm[("forward", 1)] is buf
     u_in = cold.incident_extended(1)
     np.testing.assert_array_equal(
-        hs.restrict_to_roi(warm + u_in, cold.eg), u_warm)
-    res = cold.op.apply(warm) - cold.f_ext * u_in
+        hs.restrict_to_roi(buf + u_in, cold.eg), u_warm)
+    res = cold.op.apply(buf) - cold.f_ext * u_in
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(cold.f_ext * u_in)
 
 
@@ -207,33 +209,43 @@ def test_warm_total_field_matches_cold_and_fills_buffer():
 def test_warm_adjoint_solve_matches_cold_and_fills_buffer():
     scene, f, cfg = _warm_problem()
     fwd = hs.HelmholtzForward(scene, f, cfg)
-    se = fwd.eg.points_per_side
     rng = np.random.default_rng(1)
-    rhs = rng.standard_normal((se, se)) + 1j * rng.standard_normal((se, se))
-    z_cold, rep_cold = fwd.adjoint_solve(rhs)
-    noise = rng.standard_normal((se, se))
-    warm = z_cold + 1e-3 * np.abs(z_cold).max() * noise
-    z_warm, rep_warm = fwd.adjoint_solve(rhs, warm)
+    r = [rng.standard_normal(8) + 1j * rng.standard_normal(8)]
+    back_cold, (rep_cold,) = fwd.adjoint([1], r)
+    # the guess: the solution at a nearby potential
+    warm = {}
+    hs.HelmholtzForward(scene, 0.9 * f, cfg).adjoint([1], r, warm)
+    buf = warm[("adjoint", 1)]
+    back_warm, (rep_warm,) = fwd.adjoint([1], r, warm)
     assert rep_warm.converged
     assert rep_warm.iterations < rep_cold.iterations
-    assert np.linalg.norm(z_warm - z_cold) <= 1e-8 * np.linalg.norm(z_cold)
-    np.testing.assert_array_equal(warm, z_warm)
-    res = fwd.op.apply_adjoint(warm) - rhs
+    assert np.linalg.norm(back_warm - back_cold) \
+        <= 1e-8 * np.linalg.norm(back_cold)
+    # the buffer holds the solution x of A x = conj(b), b = embed(f G^H r),
+    # whose conjugate is the adjoint solution
+    assert list(warm) == [("adjoint", 1)] and warm[("adjoint", 1)] is buf
+    w = fwd.measure_adjoint([1], r)
+    np.testing.assert_array_equal(
+        w + hs.restrict_to_roi(np.conj(buf), fwd.eg), back_warm)
+    rhs = hs.embed_potential(fwd.f * w[0], fwd.eg)
+    res = fwd.op.apply_adjoint(np.conj(buf)) - rhs
     assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(rhs)
 
 
+@pytest.mark.usefixtures("multigrid_path")
 def test_zero_warm_buffer_equals_cold_start():
     scene, f, cfg = _warm_problem()
     fwd = hs.HelmholtzForward(scene, f, cfg)
-    se = fwd.eg.points_per_side
-    u_cold, rep_cold = fwd.total_field(0)
-    u_warm, rep_warm = fwd.total_field(0, np.zeros((se, se), complex))
+    u_cold, rep_cold = fwd.fields([0, 1])
+    u_warm, rep_warm = fwd.fields([0, 1], {})
     np.testing.assert_array_equal(u_warm, u_cold)
-    assert rep_warm.residual_history == rep_cold.residual_history
-    rhs = hs.embed_potential(f.astype(complex), fwd.eg)
-    z_cold, _ = fwd.adjoint_solve(rhs)
-    z_warm, _ = fwd.adjoint_solve(rhs, np.zeros((se, se), complex))
-    np.testing.assert_array_equal(z_warm, z_cold)
+    assert rep_warm == rep_cold
+    rng = np.random.default_rng(2)
+    r = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+    back_cold, rep_cold = fwd.adjoint([0, 1], r)
+    back_warm, rep_warm = fwd.adjoint([0, 1], r, {})
+    np.testing.assert_array_equal(back_warm, back_cold)
+    assert rep_warm == rep_cold
 
 
 @pytest.mark.parametrize("views, sensors", [(0, 8), (2, 0), (-1, 8)])
@@ -357,7 +369,9 @@ def test_batched_direct_solves_match_single_view_solves():
     rng = np.random.default_rng(2)
     rhs = rng.standard_normal((3, 73, 73)) + 1j * rng.standard_normal(
         (3, 73, 73))
-    z, reports = fwd._solve_conj(np.conj(rhs))
+    # the batched adjoint solve: A x_i = conj(rhs_i), z_i = conj(x_i)
+    x, reports = fwd._solve(np.conj(rhs))
+    z = np.conj(x)
     for i in range(3):
         z_i, rep_i = fwd.adjoint_solve(rhs[i])
         np.testing.assert_array_equal(z[i], z_i)

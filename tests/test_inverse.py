@@ -304,11 +304,12 @@ def test_gradient_warm_buffers_match_cold_and_hold_solutions():
     scene, cfg, f_true, ms = _toy_problem()
     f = 0.5 * f_true
     fwd = hs.HelmholtzForward(scene, f, cfg)
-    se = fwd.eg.points_per_side
-    warm = np.zeros((2, 3, se, se), dtype=complex)
+    warm = {}
     grad0, fid0, _ = hs.gradient_data_fidelity(scene, 0.45 * f_true, [0, 2],
                                                ms, cfg, warm=warm)
-    assert np.all(warm[:, 1] == 0.0)       # view 1 is not in the subset
+    # view 1 is not in the subset
+    assert set(warm) == {(kind, q) for kind in ("forward", "adjoint")
+                         for q in (0, 2)}
     grad_cold, fid_cold, wu_cold = hs.gradient_data_fidelity(
         scene, f, [0, 2], ms, cfg)
     grad_warm, fid_warm, wu_warm = hs.gradient_data_fidelity(
@@ -320,7 +321,7 @@ def test_gradient_warm_buffers_match_cold_and_hold_solutions():
     # the forward buffers hold the scattered fields at f
     for q in (0, 2):
         u_sc, _ = fwd.scattered_field(q)
-        assert np.linalg.norm(warm[0, q] - u_sc) \
+        assert np.linalg.norm(warm[("forward", q)] - u_sc) \
             <= 1e-6 * np.linalg.norm(u_sc)
 
 
@@ -337,18 +338,65 @@ def test_reconstruction_threads_one_warm_block(monkeypatch):
     monkeypatch.setattr(inverse, "gradient_data_fidelity", recording)
     rc = hs.ReconstructionConfig(gamma=0.05, tau=1e-4, iterations=3,
                                  subset_size=2, seed=1, solver=cfg)
-    # the direct path solves exactly and keeps no warm starts
+    rng = np.random.default_rng(rc.seed)
+    touched = {q for _ in range(rc.iterations)
+               for q in select_subset(rng, 3, rc.subset_size)}
+    # one container for the whole run; the direct path solves exactly and
+    # leaves it empty
     hs.reconstruct_fbs(ms, scene, rc)
-    assert seen == [None] * 3
+    assert len(seen) == 3 and all(w is seen[0] for w in seen)
+    assert seen[0] == {}
     seen.clear()
     monkeypatch.setattr(forward, "_DIRECT_MAX_UNKNOWNS", 0)
     hs.reconstruct_fbs(ms, scene, rc)
     se = hs.build_extended_grid(scene.grid, cfg.abl_points, cfg.beta,
                                 cfg.levels).points_per_side
-    assert len(seen) == 3
-    assert all(w is seen[0] for w in seen)
-    assert seen[0].shape == (2, 3, se, se)
-    assert seen[0].dtype == complex
+    assert len(seen) == 3 and all(w is seen[0] for w in seen)
+    assert set(seen[0]) == {(kind, q) for kind in ("forward", "adjoint")
+                            for q in touched}
+    assert all(b.shape == (se, se) and b.dtype == complex
+               for b in seen[0].values())
+
+
+@pytest.mark.usefixtures("multigrid_path")
+def test_warm_starts_save_reconstruction_work(monkeypatch):
+    import helmscat.inverse as inverse
+    scene, cfg, f_true, ms = _toy_problem()
+    rc = hs.ReconstructionConfig(gamma=0.05, tau=1e-4, iterations=4,
+                                 subset_size=3, seed=1, solver=cfg)
+    f_warm, h_warm = hs.reconstruct_fbs(ms, scene, rc)
+
+    def cold(*args, warm=None, **kwargs):
+        return hs.gradient_data_fidelity(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, "gradient_data_fidelity", cold)
+    f_cold, h_cold = hs.reconstruct_fbs(ms, scene, rc)
+    assert h_warm.work_units[-1] < h_cold.work_units[-1]
+    assert np.abs(f_warm - f_cold).max() <= 1e-6 * np.abs(f_cold).max()
+
+
+def test_measurement_length_must_match_active_sensors():
+    scene, cfg, f_true, ms = _toy_problem()
+    short = hs.MeasurementSet([ms.views[0], ms.views[1][:1], ms.views[2]])
+    msg = "view 1 has 10 active sensors but 1 measurements"
+    with pytest.raises(ValueError, match=msg):
+        hs.data_fidelity(scene, f_true, 1, short.views[1], cfg)
+    with pytest.raises(ValueError, match=msg):
+        hs.gradient_data_fidelity(scene, f_true, [0, 1], short, cfg)
+    # checked for every view before the first iteration, whichever subsets
+    # the run would draw
+    rc = hs.ReconstructionConfig(gamma=0.05, tau=1e-4, iterations=1,
+                                 subset_size=1, solver=cfg)
+    with pytest.raises(ValueError, match=msg):
+        hs.reconstruct_fbs(short, scene, rc)
+
+
+def test_reconstruction_rejects_oversized_subset():
+    scene, cfg, f_true, ms = _toy_problem()
+    rc = hs.ReconstructionConfig(gamma=0.05, tau=1e-4, iterations=1,
+                                 subset_size=4, solver=cfg)
+    with pytest.raises(ValueError, match="subset_size 4 exceeds the 3 views"):
+        hs.reconstruct_fbs(ms, scene, rc)
 
 
 def test_reconstruction_runs_bit_identical():

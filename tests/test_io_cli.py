@@ -138,6 +138,18 @@ def test_simulate_runs(tmp_path, capsys):
         assert line.split(",")[5] == "0.0"  # timings zeroed by default
 
 
+def test_simulate_wall_time_shares_the_batch_time(tmp_path):
+    cfg = _write(tmp_path, SIM)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out),
+                 "--wall-time"]) == 0
+    rows = (out / "reports.csv").read_text().splitlines()[1:]
+    seconds = {line.split(",")[5] for line in rows}
+    # all views are solved as one batch, each charged an equal share
+    assert len(rows) == 2 and len(seconds) == 1
+    assert float(seconds.pop()) > 0.0
+
+
 def test_simulate_zero_contrast(tmp_path):
     cfg = _write(tmp_path, SIM.replace("disk_eta = 1.2", "disk_eta = 1.0"))
     out = tmp_path / "out"
@@ -235,6 +247,20 @@ def test_reconstruct_deterministic(tmp_path):
                  "--out-dir", str(r2)]) == 0
     for name in ["eta.hsf", "f.hsf", "history.csv"]:
         assert (r1 / name).read_bytes() == (r2 / name).read_bytes()
+
+
+def test_reconstruct_rejects_oversized_subset(tmp_path, capsys):
+    sim = _write(tmp_path, SIM)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(sim),
+                 "--out-dir", str(out)]) == 0
+    rec = _reconstruct_cfg(tmp_path, out / "measurements.csv", 2,
+                           extra="subset_size = 99\n")
+    rout = tmp_path / "rout"
+    _assert_input_error(capsys, ["reconstruct", "--config", str(rec),
+                                 "--out-dir", str(rout)],
+                        "subset_size 99 exceeds the 2 views")
+    assert not (rout / "eta.hsf").exists()
 
 
 def test_seed_override_changes_subsets(tmp_path):

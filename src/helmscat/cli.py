@@ -142,21 +142,24 @@ def cmd_simulate(cfg, out_dir: Path, wall_time: bool) -> list[Path]:
 def cmd_reconstruct(cfg, out_dir: Path, wall_time: bool) -> list[Path]:
     scene = _build_scene(cfg)
     solver = _solver_config(cfg)
+    if cfg.subset_size < 0:
+        raise ValueError(f"subset_size must be nonnegative (0 means all "
+                         f"views), got {cfg.subset_size}")
+    # checks iterations and inner_prox_iterations, also for 0 iterations
+    rcfg = ReconstructionConfig(
+        gamma=cfg.gamma, tau=cfg.tau, iterations=cfg.iterations,
+        subset_size=cfg.subset_size or cfg.num_views, seed=cfg.seed,
+        inner_prox_iterations=cfg.inner_prox_iterations, solver=solver)
     measurements = io.read_measurements_csv(cfg.measurements_file,
                                             scene.geometry)
     eta_true = None
     if cfg.ground_truth_file:
         eta_true = _read_grid_field(cfg, "ground_truth_file", scene.grid)
-    subset = cfg.subset_size if cfg.subset_size > 0 else cfg.num_views
     s = scene.grid.points_per_side
     if cfg.iterations == 0:
         f_star = np.zeros((s, s))
         history = None
     else:
-        rcfg = ReconstructionConfig(
-            gamma=cfg.gamma, tau=cfg.tau, iterations=cfg.iterations,
-            subset_size=subset, seed=cfg.seed,
-            inner_prox_iterations=cfg.inner_prox_iterations, solver=solver)
         f_star, history = reconstruct_fbs(measurements, scene, rcfg,
                                           eta_true=eta_true)
     eta_star = eta_from_potential(f_star, cfg.eta_b, scene.k0)

@@ -108,13 +108,35 @@ class HelmholtzOperator:
         if u.shape != (s, s):
             raise ValueError(f"field shape {u.shape} does not match grid {s}")
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
+    def apply(self, u: np.ndarray, *, out: np.ndarray | None = None
+              ) -> np.ndarray:
+        """A u, written into ``out`` (a C-contiguous complex (s, s) array
+        that is not ``u``) when given.
+
+        All four neighbour terms are shifts of the flattened field.  Along
+        axis 1 a flat shift by one also reaches across each row end, so the
+        entries it wraps into are saved before and restored after; every
+        entry then sees the same operations in the same order as the 2-D
+        stencil, and the result is bit-identical to it."""
         self._check(u)
-        out = self._diag_h2 * u
-        out[1:, :] -= u[:-1, :]
-        out[:-1, :] -= u[1:, :]
-        out[:, 1:] -= u[:, :-1]
-        out[:, :-1] -= u[:, 1:]
+        s = self.side
+        if out is None:
+            out = np.empty((s, s), dtype=complex)
+        elif (out.shape != (s, s) or out.dtype != complex
+              or not out.flags.c_contiguous or np.may_share_memory(out, u)):
+            raise ValueError("out must be a separate C-contiguous complex "
+                             "field of the grid's shape")
+        np.multiply(self._diag_h2, u, out=out)
+        o = out.reshape(-1)
+        f = u.reshape(-1)
+        o[s:] -= f[:-s]
+        o[:-s] -= f[s:]
+        first = o[s::s].copy()          # column 0 of rows 1..s-1
+        o[1:] -= f[:-1]
+        o[s::s] = first
+        last = o[s - 1:-1:s].copy()     # column s-1 of rows 0..s-2
+        o[:-1] -= f[1:]
+        o[s - 1:-1:s] = last
         out *= self._inv_h2
         return out
 

@@ -58,28 +58,37 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
     r = b - apply_A(x)
     r_hat = r.copy()
     r_hat_norm = np.linalg.norm(r_hat)
+    r_norm = float(r_hat_norm)
     rho_prev = 1.0 + 0.0j
     alpha = 1.0 + 0.0j
     sigma = 1.0 + 0.0j
     v = np.zeros_like(b)
     p = np.zeros_like(b)
+    # x, r and p are updated in place through one scratch product; each
+    # update keeps the textbook operand order (scalar * vector, then
+    # vector +/- product), as complex multiplication in numpy is not
+    # bitwise commutative
+    prod = np.empty_like(b)
 
-    report = SolveReport(iterations=0,
-                         residual_history=[float(r_hat_norm)])
+    report = SolveReport(iterations=0, residual_history=[r_norm])
     threshold = tol * b_norm
-    if not math.isfinite(report.residual_history[0]):
+    if not math.isfinite(r_norm):
         return x, report
-    if report.residual_history[0] <= threshold:
+    if r_norm <= threshold:
         report.converged = True
         return x, report
 
     for it in range(1, max_iter + 1):
         rho = _inner(r_hat, r)
-        scale = r_hat_norm * np.linalg.norm(r)
+        scale = r_hat_norm * r_norm
         if abs(rho) < BREAKDOWN_TOL * max(scale, 1e-300):
             raise BicgstabBreakdown(f"rho breakdown at iteration {it}")
         beta = (rho / rho_prev) * (alpha / sigma)
-        p = r + beta * (p - sigma * v)
+        # p = r + beta * (p - sigma * v)
+        np.multiply(sigma, v, out=prod)
+        np.subtract(p, prod, out=p)
+        np.multiply(beta, p, out=p)
+        np.add(r, p, out=p)
         y = apply_M(p)
         v = apply_A(y)
         denom = _inner(r_hat, v)
@@ -87,17 +96,20 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
         if abs(denom) < BREAKDOWN_TOL * max(scale, 1e-300):
             raise BicgstabBreakdown(f"<r0hat, v> breakdown at iteration {it}")
         alpha = rho / denom
-        h = x + alpha * y
-        s = r - alpha * v
+        # s = r - alpha * v, held in r; x moves to x + alpha * y only once
+        # s is finite, so a failed half-step returns the previous iterate
+        np.multiply(alpha, v, out=prod)
+        s = np.subtract(r, prod, out=r)
         s_norm = float(np.linalg.norm(s))
         if not math.isfinite(s_norm):
             report.iterations = it
             report.residual_history.append(s_norm)
             break
+        np.multiply(alpha, y, out=prod)
+        np.add(x, prod, out=x)
         if s_norm <= threshold:
             # half-step already converged; the stabilization solve would
             # divide by <t,t> ~ 0
-            x, r = h, s
             report.iterations = it
             report.residual_history.append(s_norm)
             report.converged = True
@@ -108,8 +120,11 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
         if abs(tt) < BREAKDOWN_TOL * max(float(np.linalg.norm(t))**2, 1e-300):
             raise BicgstabBreakdown(f"<t, t> breakdown at iteration {it}")
         sigma = _inner(t, s) / tt
-        x = h + sigma * z
-        r = s - sigma * t
+        # x = h + sigma * z and r = s - sigma * t
+        np.multiply(sigma, z, out=prod)
+        np.add(x, prod, out=x)
+        np.multiply(sigma, t, out=prod)
+        np.subtract(r, prod, out=r)
         rho_prev = rho
         r_norm = float(np.linalg.norm(r))
         report.iterations = it

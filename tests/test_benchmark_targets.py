@@ -2,10 +2,13 @@
 functions and methods by name: a module attribute for each function, and
 ``Class.__dict__[method]`` for each method.  A refactor that renames or
 moves one of them, for instance onto a base class, would break the traced
-run; this test catches it."""
+run; these tests catch it.  Some targets also carry a tag reader that takes
+one argument by position or keyword (Jacobi sweeps, multigrid level); a
+parameter inserted before it would make the trace read the wrong one."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -16,6 +19,28 @@ def _targets():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.TARGETS
+
+
+def _resolve(module_name, attr):
+    module = importlib.import_module(module_name)
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        return vars(getattr(module, cls_name))[meth]
+    return getattr(module, attr)
+
+
+def _argument_readers():
+    """(function, position, name) for every target whose tag reader reads
+    one argument of the call."""
+    found = []
+    for module_name, attr, _, tag in _targets():
+        if tag is None:
+            continue
+        bound = inspect.getclosurevars(tag).nonlocals
+        if "position" in bound and "name" in bound:
+            found.append((_resolve(module_name, attr), bound["position"],
+                          bound["name"]))
+    return found
 
 
 def test_tracing_targets_resolve():
@@ -33,3 +58,27 @@ def test_tracing_targets_resolve():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_tag_readers_match_signatures():
+    readers = _argument_readers()
+    assert {fn.__name__ for fn, _, _ in readers} >= {"damped_jacobi",
+                                                      "mg_cycle"}
+    for fn, position, name in readers:
+        params = list(inspect.signature(fn).parameters.values())
+        assert len(params) > position, fn.__name__
+        assert params[position].name == name, fn.__name__
+        assert params[position].kind is \
+            inspect.Parameter.POSITIONAL_OR_KEYWORD, fn.__name__
+
+
+def test_tagged_hot_path_keeps_its_positions():
+    from helmscat.multigrid import damped_jacobi, mg_cycle
+    for fn, positional in ((damped_jacobi,
+                            ["op", "b", "v", "omega", "sweeps"]),
+                           (mg_cycle, ["hier", "b", "v0", "level"])):
+        params = list(inspect.signature(fn).parameters.values())
+        assert [p.name for p in params[:len(positional)]] == positional
+        # anything added later is a trailing keyword-only parameter
+        assert all(p.kind is inspect.Parameter.KEYWORD_ONLY
+                   for p in params[len(positional):]), fn.__name__

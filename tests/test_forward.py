@@ -427,3 +427,24 @@ def test_direct_path_caches_incident_waves_on_the_scene(monkeypatch):
     np.testing.assert_array_equal(
         waves[3], hs.plane_wave(ext, scene.geometry.directions[3], scene.k0,
                                 scene.eta_b))
+
+
+@pytest.mark.usefixtures("multigrid_path")
+@pytest.mark.parametrize("levels, iterations, work_units",
+                         [(2, [6, 6], 66.0), (3, [13, 13], 195.0)])
+def test_multigrid_solve_counts_pinned(levels, iterations, work_units):
+    # Krylov iterations and work units of a forced-multigrid solve (41^2
+    # extended grid, disk of index 1.5), as the allocating cycle and
+    # Bi-CGSTAB gave them: the work arrays and in-place updates round
+    # differently at most in the last bits, which must not move the counts
+    scene = _small_scene()
+    x, y = scene.grid.coords()
+    f = np.where(np.hypot(x, y) <= 5.0, scene.k0 ** 2 * (1.5 ** 2 - 1.0), 0.0)
+    cfg = hs.SolverConfig(abl_points=4, beta=0.15, levels=levels, nu2=2,
+                          tol=1e-8)
+    fwd = hs.HelmholtzForward(scene, f, cfg)
+    assert fwd.eg.points_per_side == 41 and not fwd.direct
+    _, reports = fwd.fields([0, 1])
+    assert all(r.converged for r in reports)
+    assert [r.iterations for r in reports] == iterations
+    assert fwd.hier.meter.total == work_units

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helmscat import Grid2D, build_extended_grid, assemble
-from helmscat.helmholtz import LevelGeometry, abl_profile
+from helmscat.helmholtz import HelmholtzOperator, LevelGeometry, abl_profile
 
 
 def _setup(s=9, abl=3, beta=0.2, levels=1, side=8.0, k0=1.0,
@@ -138,3 +138,61 @@ def test_apply_matches_sparse_non_dyadic_mesh():
     real_via_sparse = (op.as_sparse() @ u.real.ravel()).reshape(se, se)
     np.testing.assert_allclose(op.apply(u.real), real_via_sparse,
                                rtol=1e-13, atol=1e-14 * scale)
+
+
+def _dyadic_operator(s):
+    # h = 1/2, k0 = 1/2, eta^2 = 1, beta = 0: every diagonal entry, h^2 and
+    # 1/h^2 are short binary fractions, so integer-valued fields are
+    # multiplied and summed without rounding in any order
+    geom = LevelGeometry(s, 0.5, (0.0, 0.0), (0.0, 0.0),
+                         (0.5 * (s - 1),) * 2, 0.0)
+    return HelmholtzOperator(geom, np.ones((s, s)), 0.5, 0.0)
+
+
+@pytest.mark.parametrize("s", [5, 17, 65])
+def test_apply_out_equals_sparse_bitwise(s):
+    # exact arithmetic turns any neighbour that a flat shift wrongly reads
+    # across a row end (or misses) into a visible difference
+    op = _dyadic_operator(s)
+    rng = np.random.default_rng(s)
+    u = (rng.integers(-64, 64, (s, s))
+         + 1j * rng.integers(-64, 64, (s, s))).astype(complex)
+    u_before = u.copy()
+    out = np.full((s, s), np.nan, dtype=complex)
+    assert op.apply(u, out=out) is out
+    via_sparse = (op.as_sparse() @ u.ravel()).reshape(s, s)
+    np.testing.assert_array_equal(out, via_sparse)
+    np.testing.assert_array_equal(op.apply(u), via_sparse)
+    np.testing.assert_array_equal(u, u_before)
+
+
+def _strided_apply(op, u):
+    # the 2-D stencil as four strided neighbour subtractions
+    out = op._diag_h2 * u
+    out[1:, :] -= u[:-1, :]
+    out[:-1, :] -= u[1:, :]
+    out[:, 1:] -= u[:, :-1]
+    out[:, :-1] -= u[:, 1:]
+    out *= op._inv_h2
+    return out
+
+
+@pytest.mark.parametrize("side", [8.0, 7.3])
+def test_flat_apply_bit_identical_to_strided_stencil(side):
+    eg, op = _setup(side=side, beta=0.15)
+    se = eg.points_per_side
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((se, se)) + 1j * rng.standard_normal((se, se))
+    np.testing.assert_array_equal(op.apply(u), _strided_apply(op, u))
+    np.testing.assert_array_equal(op.apply(u.real), _strided_apply(op, u.real))
+
+
+def test_apply_rejects_unusable_out():
+    eg, op = _setup()
+    se = eg.points_per_side
+    u = np.ones((se, se), dtype=complex)
+    for bad in (u, np.empty((se + 1, se), dtype=complex),
+                np.empty((se, se)), np.empty((se, se), dtype=complex).T,
+                np.empty((se, 2 * se), dtype=complex)[:, ::2]):
+        with pytest.raises(ValueError, match="out must be"):
+            op.apply(u, out=bad)

@@ -263,6 +263,44 @@ def test_reconstruct_rejects_oversized_subset(tmp_path, capsys):
     assert not (rout / "eta.hsf").exists()
 
 
+@pytest.mark.parametrize("iters, extra, needle", [
+    (-2, "subset_size = -5\n", "subset_size must be nonnegative"),
+    (-2, "", "iterations must be nonnegative"),
+    (0, "subset_size = -5\n", "subset_size must be nonnegative"),
+    (2, "inner_prox_iterations = -3\n", "inner_prox_iterations must be"),
+    (0, "inner_prox_iterations = 0\n", "inner_prox_iterations must be"),
+])
+def test_reconstruct_rejects_negative_counts(tmp_path, capsys, iters, extra,
+                                             needle):
+    sim = _write(tmp_path, SIM)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(sim),
+                 "--out-dir", str(out)]) == 0
+    rec = _reconstruct_cfg(tmp_path, out / "measurements.csv", iters,
+                           extra=extra)
+    rout = tmp_path / "rout"
+    _assert_input_error(capsys, ["reconstruct", "--config", str(rec),
+                                 "--out-dir", str(rout)], needle)
+    assert not (rout / "eta.hsf").exists()
+    assert not (rout / "history.csv").exists()
+
+
+def test_reconstruct_subset_size_zero_means_all_views(tmp_path):
+    sim = _write(tmp_path, SIM)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(sim),
+                 "--out-dir", str(out)]) == 0
+    outs = []
+    for size in (0, 2):
+        rec = _reconstruct_cfg(tmp_path, out / "measurements.csv", 2,
+                               extra=f"subset_size = {size}\n")
+        outs.append(tmp_path / f"r{size}")
+        assert main(["reconstruct", "--config", str(rec),
+                     "--out-dir", str(outs[-1])]) == 0
+    assert ((outs[0] / "f.hsf").read_bytes()
+            == (outs[1] / "f.hsf").read_bytes())
+
+
 def test_seed_override_changes_subsets(tmp_path):
     sim = _write(tmp_path, SIM)
     out = tmp_path / "out"

@@ -134,3 +134,140 @@ def test_non_finite_operator_output_stops_run():
     assert report.iterations == 1
     assert np.isfinite(report.residual_history[0])
     assert not np.isfinite(report.residual_history[-1])
+
+
+def _textbook_bicgstab(apply_A, b, apply_M, x0, tol, max_iter):
+    # preconditioned Bi-CGSTAB with a fresh array for every vector, the
+    # same stop rules, and no breakdown checks
+    b = np.asarray(b, dtype=complex)
+    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=complex)
+    threshold = tol * float(np.linalg.norm(b))
+    r = b - apply_A(x)
+    r_hat = r.copy()
+    history = [float(np.linalg.norm(r_hat))]
+    rho_prev = alpha = sigma = 1.0 + 0.0j
+    v = np.zeros_like(b)
+    p = np.zeros_like(b)
+    if not np.isfinite(history[0]) or history[0] <= threshold:
+        return x, history
+    for _ in range(max_iter):
+        rho = np.vdot(r_hat, r)
+        beta = (rho / rho_prev) * (alpha / sigma)
+        p = r + beta * (p - sigma * v)
+        y = apply_M(p)
+        v = apply_A(y)
+        alpha = rho / np.vdot(r_hat, v)
+        h = x + alpha * y
+        s = r - alpha * v
+        s_norm = float(np.linalg.norm(s))
+        if not np.isfinite(s_norm) or s_norm <= threshold:
+            history.append(s_norm)
+            if np.isfinite(s_norm):
+                x = h
+            break
+        z = apply_M(s)
+        t = apply_A(z)
+        sigma = np.vdot(t, s) / np.vdot(t, t)
+        x = h + sigma * z
+        r = s - sigma * t
+        rho_prev = rho
+        history.append(float(np.linalg.norm(r)))
+        if not np.isfinite(history[-1]) or history[-1] <= threshold:
+            break
+    return x, history
+
+
+def _assert_matches_textbook(apply_A, b, apply_M=None, x0=None, tol=1e-10,
+                             max_iter=200):
+    x_ref, hist_ref = _textbook_bicgstab(
+        apply_A, b, apply_M or (lambda v: v), x0, tol, max_iter)
+    x, report = bicgstab(apply_A, b, apply_M=apply_M, x0=x0, tol=tol,
+                         max_iter=max_iter)
+    np.testing.assert_array_equal(x, x_ref)
+    np.testing.assert_array_equal(report.residual_history, hist_ref)
+    assert report.iterations == len(hist_ref) - 1
+    return report
+
+
+def _dominant_system(seed, n=40):
+    rng = np.random.default_rng(seed)
+    A = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+         + 8.0 * np.eye(n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return A, b, rng
+
+
+def test_in_place_updates_bit_identical_to_textbook_loop():
+    A, b, rng = _dominant_system(6)
+    d = np.diag(A).copy()
+    report = _assert_matches_textbook(lambda v: A @ v, b,
+                                      apply_M=lambda v: v / d)
+    assert report.converged and report.iterations > 3
+    x0 = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
+    _assert_matches_textbook(lambda v: A @ v, b, x0=x0, tol=1e-13)
+    # the caller's guess is copied, not updated
+    x0_before = x0.copy()
+    bicgstab(lambda v: A @ v, b, x0=x0)
+    np.testing.assert_array_equal(x0, x0_before)
+
+
+def test_in_place_updates_with_aliasing_operators():
+    # an operator and a preconditioner that return their argument hand the
+    # solver's own p and r back as y, v, z and t; the default
+    # preconditioner alone hands back p and r as y and z
+    b = np.array([1.0 + 2.0j, -3.0j, 0.5, 2.0])
+    _assert_matches_textbook(lambda v: v, b, x0=np.zeros(4, dtype=complex),
+                             tol=1e-12)
+    A, b, _ = _dominant_system(8)
+    _assert_matches_textbook(lambda v: A @ v, b)
+
+
+@pytest.mark.filterwarnings("ignore:coarsest level has")
+def test_multigrid_preconditioned_bit_identical_to_textbook_loop():
+    from helmscat import Grid2D, MgHierarchy, assemble, build_extended_grid
+    g = Grid2D(17, 16.0, (0.0, 0.0))
+    eg = build_extended_grid(g, 4, 0.15, 2)
+    se = eg.points_per_side
+    rng = np.random.default_rng(7)
+    op = assemble(eg, 1.0 + 0.1 * rng.random((se, se)), 0.5, 0.15)
+    hier = MgHierarchy(op, 2)
+    b = rng.standard_normal((se, se)) + 1j * rng.standard_normal((se, se))
+    report = _assert_matches_textbook(op.apply, b,
+                                      apply_M=hier.as_preconditioner(),
+                                      tol=1e-12)
+    assert report.converged
+
+
+def _nan_after_first_call():
+    calls = []
+
+    def apply_A(v):
+        calls.append(1)
+        return v * (np.nan if len(calls) > 1 else 2.0)
+    return apply_A
+
+
+def test_half_step_failure_returns_previous_iterate():
+    # the operator turns NaN on its second application, so the half-step
+    # residual s is NaN: the solver returns x0, not x0 + alpha y
+    b = np.ones(4, dtype=complex)
+    x0 = np.full(4, 0.25 + 0.0j)
+    with np.errstate(invalid="ignore"):
+        x_ref, hist_ref = _textbook_bicgstab(_nan_after_first_call(), b,
+                                             lambda v: v, x0, 1e-10, 50)
+        x, report = bicgstab(_nan_after_first_call(), b, x0=x0, tol=1e-10,
+                             max_iter=50)
+    np.testing.assert_array_equal(x, x0)
+    np.testing.assert_array_equal(x, x_ref)
+    np.testing.assert_array_equal(report.residual_history, hist_ref)
+    assert not report.converged
+    assert report.iterations == 1
+
+
+def test_nan_rhs_bit_identical_to_textbook_loop():
+    A = 3.0 * np.eye(6)
+    b = np.ones(6, dtype=complex)
+    b[2] = np.nan
+    report = _assert_matches_textbook(lambda v: A @ v, b,
+                                      apply_M=lambda v: v / 3.0)
+    assert not report.converged

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from helmscat import (Grid2D, build_extended_grid, assemble, MgHierarchy,
                       WorkUnitMeter, damped_jacobi, restrict_full_weighting,
@@ -275,3 +276,131 @@ def test_coarsest_solve_accurate_at_high_contrast():
     v = hier.coarsest_solve(b)
     res = np.linalg.norm(coarsest.apply(v) - b) / np.linalg.norm(b)
     assert res <= 1e-12
+
+
+def _random_field(rng, s):
+    return rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+
+
+@pytest.mark.parametrize("levels", [1, 3])
+def test_preconditioner_results_are_separate_arrays(levels):
+    eg, op = _operator(s=33, abl=4, levels=3, k0=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        hier = MgHierarchy(op, levels)
+    apply_m = hier.as_preconditioner()
+    se = eg.points_per_side
+    rng = np.random.default_rng(8)
+    b1, b2 = _random_field(rng, se), _random_field(rng, se)
+    b1_before, b2_before = b1.copy(), b2.copy()
+    y1 = apply_m(b1)
+    y1_before = y1.copy()
+    y2 = apply_m(b2)
+    assert not np.shares_memory(y1, y2)
+    np.testing.assert_array_equal(y1, y1_before)
+    np.testing.assert_array_equal(b1, b1_before)
+    np.testing.assert_array_equal(b2, b2_before)
+    # no result is one of the hierarchy's work arrays
+    for level in range(levels - 1):
+        w = hier.work(level)
+        for a in (w.t, w.rows, w.r_c, w.wd_inv):
+            assert not np.shares_memory(a, y1)
+            assert not np.shares_memory(a, y2)
+    # the same input gives the same output again
+    np.testing.assert_array_equal(apply_m(b1), y1)
+
+
+def _reference_restrict(r):
+    # full weighting with a zero-padded copy, 3x3 stencil written out
+    p = np.pad(r, 1)
+    w = (4.0 * p[1:-1, 1:-1]
+         + 2.0 * (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:])
+         + p[:-2, :-2] + p[:-2, 2:] + p[2:, :-2] + p[2:, 2:]) / 16.0
+    return w[0::2, 0::2]
+
+
+def _reference_prolong(e):
+    sf = 2 * e.shape[0] - 1
+    out = np.zeros((sf, sf), dtype=e.dtype)
+    out[0::2, 0::2] = e
+    out[1::2, 0::2] = 0.5 * (e[:-1, :] + e[1:, :])
+    out[0::2, 1::2] = 0.5 * (e[:, :-1] + e[:, 1:])
+    out[1::2, 1::2] = 0.25 * (e[:-1, :-1] + e[:-1, 1:]
+                              + e[1:, :-1] + e[1:, 1:])
+    return out
+
+
+def _reference_cycle(hier, b, v, level=0):
+    # textbook V/W cycle that allocates every intermediate
+    op = hier.levels[level]
+    if level == len(hier.levels) - 1:
+        lu = splu(op.as_sparse())
+        return lu.solve(b.ravel()).reshape(b.shape)
+    d_inv = 1.0 / op.diagonal()
+
+    def smooth(v, sweeps):
+        for _ in range(sweeps):
+            v = v - hier.omega * d_inv * (op.apply(v) - b)
+        return v
+
+    v = smooth(np.zeros_like(b) if v is None else v, hier.nu1)
+    r_c = _reference_restrict(b - op.apply(v))
+    e_c = None
+    for _ in range(hier.cycle_type):
+        e_c = _reference_cycle(hier, r_c, e_c, level + 1)
+    return smooth(v + _reference_prolong(e_c), hier.nu2)
+
+
+@pytest.mark.parametrize("cycle_type", [1, 2])
+@pytest.mark.parametrize("nu", [1, 2])
+def test_cycle_matches_reference_cycle(cycle_type, nu):
+    eg, op = _operator(s=33, abl=4, levels=3, k0=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        hier = MgHierarchy(op, 3, nu1=nu, nu2=nu, cycle_type=cycle_type)
+    se = eg.points_per_side
+    rng = np.random.default_rng(9)
+    b = _random_field(rng, se)
+    v0 = _random_field(rng, se)
+    for guess in (None, v0):
+        ref = _reference_cycle(hier, b, guess)
+        # twice: the second cycle runs on work arrays the first one left
+        for _ in range(2):
+            got = mg_cycle(hier, b, guess)
+            assert (np.linalg.norm(got - ref)
+                    <= 1e-13 * np.linalg.norm(ref))
+    # the metered work is the cycle's, whatever arrays it ran on
+    per_cycle = 2 * nu * sum(cycle_type**p * 4.0**(-p) for p in range(2))
+    assert hier.meter.total == pytest.approx(4 * per_cycle)
+
+
+@pytest.mark.parametrize("sweeps", [0, 1, 3])
+@pytest.mark.parametrize("start", ["none", "array"])
+def test_damped_jacobi_out_and_in_place_match_allocating(sweeps, start):
+    eg, op = _operator()
+    se = eg.points_per_side
+    rng = np.random.default_rng(10)
+    b = _random_field(rng, se)
+    v = None if start == "none" else _random_field(rng, se)
+    expected = damped_jacobi(op, b, v, 0.8, sweeps)
+    out = np.full((se, se), np.nan, dtype=complex)
+    assert damped_jacobi(op, b, v, 0.8, sweeps, out=out) is out
+    np.testing.assert_array_equal(out, expected)
+    if v is not None:
+        damped_jacobi(op, b, v, 0.8, sweeps, out=v)
+        np.testing.assert_array_equal(v, expected)
+
+
+def test_transfers_write_every_entry_of_out():
+    rng = np.random.default_rng(11)
+    r = _random_field(rng, 17)
+    out = np.full((9, 9), np.nan, dtype=complex)
+    rows = np.full((9, 17), np.nan, dtype=complex)
+    assert restrict_full_weighting(r, out=out, rows=rows) is out
+    np.testing.assert_array_equal(out, restrict_full_weighting(r))
+    np.testing.assert_allclose(out, _reference_restrict(r), rtol=1e-14)
+    e = _random_field(rng, 9)
+    fine = np.full((17, 17), np.nan, dtype=complex)
+    assert prolong_bilinear(e, out=fine) is fine
+    np.testing.assert_array_equal(fine, prolong_bilinear(e))
+    np.testing.assert_allclose(fine, _reference_prolong(e), rtol=1e-14)

@@ -145,7 +145,10 @@ def cmd_reconstruct(cfg, out_dir: Path, wall_time: bool) -> list[Path]:
     if cfg.subset_size < 0:
         raise ValueError(f"subset_size must be nonnegative (0 means all "
                          f"views), got {cfg.subset_size}")
-    # checks iterations and inner_prox_iterations, also for 0 iterations
+    if cfg.subset_size > cfg.num_views:
+        raise ValueError(f"subset_size {cfg.subset_size} exceeds the "
+                         f"{cfg.num_views} views")
+    # checks the counts also for a run of 0 iterations
     rcfg = ReconstructionConfig(
         gamma=cfg.gamma, tau=cfg.tau, iterations=cfg.iterations,
         subset_size=cfg.subset_size or cfg.num_views, seed=cfg.seed,

@@ -96,23 +96,17 @@ def gradient_data_fidelity(scene: ScatteringScene, f: np.ndarray,
     return grad, fidelity, fwd.hier.meter.total
 
 
-def _forward_diff(w: np.ndarray, dx: np.ndarray | None = None,
-                  dy: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    dx = np.empty_like(w) if dx is None else dx
-    dy = np.empty_like(w) if dy is None else dy
-    np.subtract(w[1:, :], w[:-1, :], out=dx[:-1, :])
-    dx[-1, :] = 0.0
-    np.subtract(w[:, 1:], w[:, :-1], out=dy[:, :-1])
-    dy[:, -1] = 0.0
+def _forward_diff(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    dx = np.zeros_like(w)
+    dy = np.zeros_like(w)
+    dx[:-1, :] = w[1:, :] - w[:-1, :]
+    dy[:, :-1] = w[:, 1:] - w[:, :-1]
     return dx, dy
 
 
-def _neg_divergence(px: np.ndarray, py: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def _neg_divergence(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     # adjoint of _forward_diff
-    out = np.empty_like(px) if out is None else out
-    out.fill(0.0)
+    out = np.zeros_like(px)
     out[:-1, :] -= px[:-1, :]
     out[1:, :] += px[:-1, :]
     out[:, :-1] -= py[:, :-1]
@@ -142,41 +136,23 @@ def _tv_prox_dual(w: np.ndarray, weight: float, inner_iters: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fast gradient projection (Beck and Teboulle, 2009) on the dual of
     the nonnegative TV prox, ``weight > 0``: returns the primal point
-    x = max(w - weight * D^T p, 0) and the dual p = (px, py), |p| <= 1.
-
-    The dual, its extrapolation and the scratch fields are allocated once
-    and updated in place across the inner iterations."""
-    w = np.asarray(w, dtype=float)
-    px, py = np.zeros_like(w), np.zeros_like(w)
-    bx, by = np.zeros_like(w), np.zeros_like(w)
-    cx, cy = np.empty_like(w), np.empty_like(w)
-    x, d = np.empty_like(w), np.empty_like(w)
-    step = 8.0 * weight
+    x = max(w - weight * D^T p, 0) and the dual p = (px, py), |p| <= 1."""
+    px = np.zeros_like(w)
+    py = np.zeros_like(w)
+    bx, by = px.copy(), py.copy()
     t = 1.0
     for _ in range(inner_iters):
-        # x = max(w - weight * D^T b, 0)
-        np.multiply(weight, _neg_divergence(bx, by, out=d), out=d)
-        np.maximum(np.subtract(w, d, out=x), 0.0, out=x)
-        # c = b + D x / (8 weight), projected onto |c| <= 1
-        _forward_diff(x, cx, cy)
-        np.add(bx, np.divide(cx, step, out=cx), out=cx)
-        np.add(by, np.divide(cy, step, out=cy), out=cy)
-        # d and x are free until the next iteration: |c|^2 goes there
-        norm = np.multiply(cx, cx, out=d)
-        norm += np.multiply(cy, cy, out=x)
-        np.maximum(1.0, np.sqrt(norm, out=norm), out=norm)
-        cx /= norm
-        cy /= norm
+        out = np.maximum(w - weight * _neg_divergence(bx, by), 0.0)
+        gx, gy = _forward_diff(out)
+        cx = bx + gx / (8.0 * weight)
+        cy = by + gy / (8.0 * weight)
+        norm = np.maximum(1.0, np.sqrt(cx * cx + cy * cy))
+        px_new, py_new = cx / norm, cy / norm
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         mom = (t - 1.0) / t_new
-        # b = p_new + mom * (p_new - p); then p_new becomes p
-        for p_new, p, b_ in ((cx, px, bx), (cy, py, by)):
-            np.subtract(p_new, p, out=b_)
-            np.multiply(mom, b_, out=b_)
-            np.add(p_new, b_, out=b_)
-        px, cx = cx, px
-        py, cy = cy, py
-        t = t_new
+        bx = px_new + mom * (px_new - px)
+        by = py_new + mom * (py_new - py)
+        px, py, t = px_new, py_new, t_new
     return np.maximum(w - weight * _neg_divergence(px, py), 0.0), px, py
 
 

@@ -92,52 +92,6 @@ def test_prox_duality_gap_certificate():
     assert np.max(np.hypot(px, py)) <= 1.0 + 1e-12
 
 
-def _textbook_fgp(w, weight, inner_iters):
-    # the dual fast gradient projection with fresh arrays throughout
-    def neg_div(px, py):
-        out = np.zeros_like(px)
-        out[:-1, :] -= px[:-1, :]
-        out[1:, :] += px[:-1, :]
-        out[:, :-1] -= py[:, :-1]
-        out[:, 1:] += py[:, :-1]
-        return out
-
-    px, py = np.zeros_like(w), np.zeros_like(w)
-    bx, by = px.copy(), py.copy()
-    t = 1.0
-    for _ in range(inner_iters):
-        x = np.maximum(w - weight * neg_div(bx, by), 0.0)
-        gx, gy = _forward_diff(x)
-        cx = bx + gx / (8.0 * weight)
-        cy = by + gy / (8.0 * weight)
-        norm = np.maximum(1.0, np.hypot(cx, cy))
-        px_new, py_new = cx / norm, cy / norm
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        bx = px_new + (t - 1.0) / t_new * (px_new - px)
-        by = py_new + (t - 1.0) / t_new * (py_new - py)
-        px, py, t = px_new, py_new, t_new
-    return np.maximum(w - weight * neg_div(px, py), 0.0), px, py
-
-
-@pytest.mark.parametrize("inner_iters", [1, 2, 50])
-def test_prox_in_place_loop_matches_textbook(inner_iters):
-    # |p| is computed as sqrt(px^2 + py^2) rather than hypot, which rounds
-    # differently in the last bit; nothing else may change
-    rng = np.random.default_rng(12)
-    w = rng.standard_normal((64, 64)) * 0.5 + 0.3
-    w_before = w.copy()
-    got = _tv_prox_dual(w, 0.05, inner_iters)
-    want = _textbook_fgp(w, 0.05, inner_iters)
-    for a, b in zip(got, want):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
-    np.testing.assert_array_equal(w, w_before)
-    # the returned dual is no scratch array of the loop: a second call
-    # leaves it alone
-    px = got[1].copy()
-    _tv_prox_dual(w, 0.05, inner_iters)
-    np.testing.assert_array_equal(got[1], px)
-
-
 def test_prox_negative_weight_rejected():
     with pytest.raises(ValueError):
         tv_prox(np.zeros((4, 4)), -0.1)

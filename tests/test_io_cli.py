@@ -269,6 +269,7 @@ def test_reconstruct_rejects_oversized_subset(tmp_path, capsys):
     (0, "subset_size = -5\n", "subset_size must be nonnegative"),
     (2, "inner_prox_iterations = -3\n", "inner_prox_iterations must be"),
     (0, "inner_prox_iterations = 0\n", "inner_prox_iterations must be"),
+    (0, "subset_size = 99\n", "subset_size 99 exceeds the 2 views"),
 ])
 def test_reconstruct_rejects_negative_counts(tmp_path, capsys, iters, extra,
                                              needle):

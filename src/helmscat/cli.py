@@ -36,6 +36,9 @@ def _build_grid(cfg) -> Grid2D:
 
 
 def _build_scene(cfg) -> ScatteringScene:
+    if cfg.active_sensors < 0:
+        raise io.ConfigError(f"active_sensors must be nonnegative (0 means "
+                             f"all sensors), got {cfg.active_sensors}")
     active = cfg.active_sensors if cfg.active_sensors > 0 else None
     geom = make_circular_geometry(cfg.num_views, cfg.num_sensors,
                                   cfg.sensor_radius_cm, cfg.wavelength_cm,

@@ -25,6 +25,11 @@ from .multigrid import MgHierarchy
 # factor than multigrid does there.
 _DIRECT_MAX_UNKNOWNS = 81 * 81
 
+# Entries of the sensor operator filled per block of sensor rows (at least
+# one row): the temporaries of a block peak near 1 MiB (4 MiB for one row
+# at 256^2), whatever the sensor count.
+_SENSOR_BLOCK_ENTRIES = 1 << 14
+
 
 @dataclass(frozen=True)
 class AcquisitionGeometry:
@@ -111,6 +116,11 @@ class ScatteringScene:
     eta_b: float
     geometry: AcquisitionGeometry
 
+    def __post_init__(self):
+        if not 0.0 < self.eta_b < math.inf:
+            raise ValueError(f"background index eta_b must be finite and "
+                             f"positive, got {self.eta_b}")
+
     @property
     def k0(self) -> float:
         return self.geometry.k0
@@ -161,6 +171,25 @@ class SolverConfig:
     tol: float = 1e-6
     max_iter: int = 500
 
+    def __post_init__(self):
+        # written so that a NaN fails each check
+        if not self.levels >= 1:
+            raise ValueError("levels must be at least 1")
+        if not (self.nu1 >= 0 and self.nu2 >= 0):
+            raise ValueError("nu1 and nu2 must be nonnegative")
+        if not 0.0 < self.omega <= 1.0:
+            raise ValueError("omega must be in (0, 1]")
+        if not self.cycle_type >= 1:
+            raise ValueError("cycle_type must be at least 1")
+        if not self.tol > 0.0:
+            raise ValueError("tol must be positive")
+        if not self.max_iter >= 1:
+            raise ValueError("max_iter must be at least 1")
+        if not self.abl_points >= 0:
+            raise ValueError("abl_points must be nonnegative")
+        if not self.beta >= 0.0:
+            raise ValueError("beta must be nonnegative")
+
 
 def plane_wave(grid: Grid2D, direction: tuple[float, float], k0: float,
                eta_b: float, u0: complex = 1.0) -> np.ndarray:
@@ -175,16 +204,26 @@ def plane_wave(grid: Grid2D, direction: tuple[float, float], k0: float,
 def sensor_green_operator(grid: Grid2D, sensors: np.ndarray, k0: float,
                           eta_b: float) -> np.ndarray:
     """Dense M-by-N map from a source density on the grid to the scattered
-    field at the sensors: entry (s, n) = h^2 * g(|x_s - x_n|)."""
-    x, y = grid.coords()
+    field at the sensors: entry (s, n) = h^2 * g(|x_s - x_n|).
+
+    The result is allocated once and filled a block of sensor rows at a
+    time (about ``_SENSOR_BLOCK_ENTRIES`` entries), so the temporaries of
+    the distance and Green evaluations do not grow with M."""
+    if k0 * eta_b <= 0.0:
+        raise ValueError("k0 * eta_b must be positive")
     lo = np.array(grid.origin)
     hi = lo + grid.side_length
     inside = np.all((sensors >= lo) & (sensors <= hi), axis=1)
     if np.any(inside):
         raise ValueError("sensors must lie strictly outside the domain")
-    dist = np.hypot(sensors[:, 0, None] - x.ravel(),
-                    sensors[:, 1, None] - y.ravel())
-    return grid.h**2 * green_value(k0 * eta_b, dist)
+    x, y = (c.ravel() for c in grid.coords())
+    g = np.empty((sensors.shape[0], x.size), dtype=complex)
+    rows = max(1, _SENSOR_BLOCK_ENTRIES // x.size)
+    for i in range(0, len(g), rows):
+        block = sensors[i:i + rows]
+        dist = np.hypot(block[:, 0, None] - x, block[:, 1, None] - y)
+        g[i:i + rows] = grid.h**2 * green_value(k0 * eta_b, dist)
+    return g
 
 
 class _ForwardModel:

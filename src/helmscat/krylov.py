@@ -33,7 +33,9 @@ def _inner(a, b):
 def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
              work_meter=None):
     """Solve A x = b with Bi-CGSTAB, applying the (linear, zero-started)
-    preconditioner ``apply_M`` to the search directions.
+    preconditioner ``apply_M`` to the search directions.  Started from
+    zero (``x0=None``), the initial residual is b itself, with no
+    operator apply.
 
     Stops when ||r|| <= tol * ||b||.  Returns ``(x, SolveReport)``; on
     non-convergence the partial iterate is returned with
@@ -51,11 +53,15 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
         apply_M = lambda v: v
 
     b = np.asarray(b, dtype=complex)
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=complex).copy()
     wu0 = work_meter.total if work_meter is not None else 0.0
 
     b_norm = float(np.linalg.norm(b))
-    r = b - apply_A(x)
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = np.asarray(x0, dtype=complex).copy()
+        r = b - apply_A(x)
     r_hat = r.copy()
     r_hat_norm = np.linalg.norm(r_hat)
     r_norm = float(r_hat_norm)

@@ -65,20 +65,27 @@ class GreenKernel:
 
 
 def sample_green_kernel(grid: Grid2D, k0: float, eta_b: float) -> GreenKernel:
+    """Green's kernel at the offsets of the (2s)^2 padded grid, index i
+    standing for offset i below s and i - 2s from s on.
+
+    The kernel depends on |offset| only, so the Green's function is
+    evaluated on the (s+1)^2 quadrant of distinct |offsets| and mirrored
+    into the padded grid."""
     if k0 * eta_b <= 0.0:
         raise ValueError("k0 * eta_b must be positive")
     s = grid.points_per_side
     h = grid.h
     k = k0 * eta_b
-    idx = np.arange(2 * s)
-    off = np.where(idx < s, idx, idx - 2 * s)
-    om, on = np.meshgrid(off, off, indexing="ij")
-    r = h * np.hypot(om, on)
-    kern = np.zeros((2 * s, 2 * s), dtype=complex)
+    off = np.arange(s + 1)
+    r = h * np.hypot(off[:, None], off)
+    quadrant = np.empty((s + 1, s + 1), dtype=complex)
     nz = r > 0
-    kern[nz] = h**2 * green_value(k, r[nz])
+    quadrant[nz] = h**2 * green_value(k, r[nz])
     g0 = _singular_cell_integral(k, h)
-    kern[0, 0] = g0
+    quadrant[0, 0] = g0
+    idx = np.arange(2 * s)
+    mirror = np.where(idx < s, idx, 2 * s - idx)
+    kern = quadrant[mirror[:, None], mirror]
     return GreenKernel(grid, k0, eta_b, np.fft.fft2(kern), g0)
 
 

@@ -79,6 +79,64 @@ def test_sensor_operator_matches_hankel1():
     np.testing.assert_allclose(G, ref, rtol=1e-13)
 
 
+def test_sensor_operator_blocks_match_full_expression():
+    # 40 sensors on 33^2 cross several row blocks, the last one partial
+    from helmscat import forward
+    from helmscat.lis import green_value
+    g = hs.Grid2D(33, 16.0, (-8.0, -8.0))
+    sensors = hs.make_circular_geometry(1, 40, 40.0, 10.0).sensors
+    rows = forward._SENSOR_BLOCK_ENTRIES // 33**2
+    assert 1 <= rows < 40 and 40 % rows
+    k0, eta_b = 2.0 * np.pi / 10.0, 1.3
+    x, y = g.coords()
+    full = g.h**2 * green_value(k0 * eta_b,
+                                np.hypot(sensors[:, 0, None] - x.ravel(),
+                                         sensors[:, 1, None] - y.ravel()))
+    G = sensor_green_operator(g, sensors, k0, eta_b)
+    assert G.shape == full.shape and G.dtype == full.dtype
+    assert G.tobytes() == full.tobytes()
+
+
+def test_sensor_operator_peak_memory_does_not_grow_with_sensors():
+    import tracemalloc
+    g = hs.Grid2D(128, 16.0, (-8.0, -8.0))
+    sensors = hs.make_circular_geometry(1, 40, 40.0, 10.0).sensors
+    tracemalloc.start()
+    try:
+        G = sensor_green_operator(g, sensors, 2.0 * np.pi / 10.0, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.nbytes == 10 * 2**20
+    assert peak <= G.nbytes + 4 * 2**20
+
+
+@pytest.mark.parametrize("k0, eta_b", [(1.0, 0.0), (1.0, -1.0), (-1.0, 1.0)])
+def test_sensor_operator_rejects_nonpositive_wavenumber(k0, eta_b):
+    g = hs.Grid2D(9, 8.0, (-4.0, -4.0))
+    with pytest.raises(ValueError, match="k0 \\* eta_b must be positive"):
+        sensor_green_operator(g, np.array([[10.0, 0.0]]), k0, eta_b)
+
+
+@pytest.mark.parametrize("eta_b", [0.0, -1.0, np.nan, np.inf])
+def test_scene_rejects_bad_background_index(eta_b):
+    g = hs.Grid2D(9, 8.0, (-4.0, -4.0))
+    geom = hs.make_circular_geometry(2, 4, 40.0, 10.0)
+    with pytest.raises(ValueError, match="eta_b must be finite and positive"):
+        hs.ScatteringScene(g, eta_b, geom)
+
+
+@pytest.mark.parametrize("field, value, needle", [
+    ("levels", 0, "levels"), ("nu1", -1, "nu1"), ("nu2", -1, "nu2"),
+    ("omega", 0.0, "omega"), ("omega", 1.5, "omega"),
+    ("omega", np.nan, "omega"), ("cycle_type", 0, "cycle_type"),
+    ("tol", 0.0, "tol"), ("tol", np.nan, "tol"), ("max_iter", 0, "max_iter"),
+    ("abl_points", -1, "abl_points"), ("beta", -0.1, "beta")])
+def test_solver_config_rejects_bad_values(field, value, needle):
+    with pytest.raises(ValueError, match=needle):
+        hs.SolverConfig(**{field: value})
+
+
 @pytest.mark.usefixtures("multigrid_path")
 def test_total_field_evaluates_incident_wave_once(monkeypatch):
     # the multigrid path evaluates a view's incident wave per solve; the

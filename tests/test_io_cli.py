@@ -468,6 +468,34 @@ def test_active_sensors_above_num_sensors(tmp_path, capsys):
                         "active sensor count 9 out of range [1, 8]")
 
 
+def test_negative_background_index(tmp_path, capsys):
+    # y0 of a negative argument is NaN: every measurement would be nan
+    cfg = _write(tmp_path, SIM + "eta_b = -1\n")
+    out = tmp_path / "eout"
+    _assert_input_error(capsys, ["simulate", "--config", str(cfg),
+                                 "--out-dir", str(out)],
+                        "eta_b must be finite and positive, got -1.0")
+    assert not (out / "measurements.csv").exists()
+
+
+@pytest.mark.parametrize("line, needle", [
+    ("omega_s = 0", "omega must be in (0, 1]"),
+    ("omega_s = 1.5", "omega must be in (0, 1]"),
+    ("nu1 = -1", "nu1 and nu2 must be nonnegative"),
+    ("nu2 = -1", "nu1 and nu2 must be nonnegative"),
+    ("solver_tol = 0", "tol must be positive"),
+    ("solver_max_iter = 0", "max_iter must be at least 1"),
+    ("active_sensors = -1", "active_sensors must be nonnegative")])
+def test_solver_settings_checked_on_the_direct_path(tmp_path, capsys, line,
+                                                    needle):
+    # the 17^2 grid is solved by one LU, which reads none of these keys
+    cfg = _write(tmp_path, SIM + line + "\n")
+    out = tmp_path / "sout"
+    _assert_input_error(capsys, ["simulate", "--config", str(cfg),
+                                 "--out-dir", str(out)], needle)
+    assert not (out / "measurements.csv").exists()
+
+
 @pytest.mark.parametrize("line", ["disk_eta = nan", "disk_eta = inf",
                                   "eta_b = nan"])
 def test_non_finite_config_value(tmp_path, capsys, line):

@@ -119,21 +119,38 @@ def test_nan_rhs_stops_at_once():
 
 
 def test_non_finite_operator_output_stops_run():
-    # the operator turns non-finite on its second application (the first
-    # search direction), after a finite initial residual
-    calls = []
-
-    def apply_A(v):
-        calls.append(1)
-        return v * (np.inf if len(calls) > 1 else 2.0)
-
+    # the operator is non-finite from its first application, the first
+    # search direction; the zero start takes the finite initial residual
+    # from b without applying it
     b = np.ones(4, dtype=complex)
     with np.errstate(invalid="ignore"):
-        x, report = bicgstab(apply_A, b, tol=1e-10, max_iter=500)
+        x, report = bicgstab(lambda v: v * np.inf, b, tol=1e-10,
+                             max_iter=500)
     assert not report.converged
     assert report.iterations == 1
     assert np.isfinite(report.residual_history[0])
     assert not np.isfinite(report.residual_history[-1])
+
+
+def test_zero_start_skips_the_initial_operator_apply():
+    # A = 2I converges at the first half-step: one apply for the search
+    # direction, plus one for b - A x0 only when a guess is given
+    calls = []
+
+    def apply_A(v):
+        calls.append(1)
+        return 2.0 * v
+
+    b = np.array([1.0 + 2.0j, -3.0j, 0.5, 2.0])
+    x, report = bicgstab(apply_A, b, tol=1e-12)
+    assert report.converged and report.iterations == 1 and len(calls) == 1
+    x_guess, report_guess = bicgstab(apply_A, b, x0=np.zeros(4, complex),
+                                     tol=1e-12)
+    assert len(calls) == 3
+    np.testing.assert_array_equal(x, x_guess)
+    assert report.residual_history == report_guess.residual_history
+    # b is not written through the residual
+    np.testing.assert_array_equal(b, [1.0 + 2.0j, -3.0j, 0.5, 2.0])
 
 
 def _textbook_bicgstab(apply_A, b, apply_M, x0, tol, max_iter):

@@ -183,3 +183,21 @@ def test_kernel_build_leaves_scipy_integrate_unloaded():
                          capture_output=True, text=True, check=True,
                          timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("s", [16, 17])
+def test_kernel_spectrum_matches_full_grid_construction(s):
+    # the Green's function on every offset of the padded grid, as sampled
+    # before the kernel was mirrored from its quadrant
+    g = Grid2D(s, 6.0, (-3.0, -3.0))
+    k = 1.3 * 1.1
+    idx = np.arange(2 * s)
+    off = np.where(idx < s, idx, idx - 2 * s)
+    om, on = np.meshgrid(off, off, indexing="ij")
+    r = g.h * np.hypot(om, on)
+    kern = np.zeros((2 * s, 2 * s), dtype=complex)
+    nz = r > 0
+    kern[nz] = g.h**2 * green_value(k, r[nz])
+    kern[0, 0] = _singular_cell_integral(k, g.h)
+    kernel = sample_green_kernel(g, 1.3, 1.1)
+    assert kernel.spectrum.tobytes() == np.fft.fft2(kern).tobytes()

@@ -48,8 +48,10 @@ class AcquisitionGeometry:
             raise ValueError("directions must be unit vectors")
         if self.active.shape != (d.shape[0], self.sensors.shape[0]):
             raise ValueError("active mask shape mismatch")
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")
+        if not np.all(np.isfinite(self.sensors)):
+            raise ValueError("sensor positions must be finite")
+        if not 0.0 < self.wavelength < math.inf:
+            raise ValueError("wavelength must be positive and finite")
 
     @property
     def num_views(self) -> int:
@@ -209,8 +211,8 @@ def sensor_green_operator(grid: Grid2D, sensors: np.ndarray, k0: float,
     The result is allocated once and filled a block of sensor rows at a
     time (about ``_SENSOR_BLOCK_ENTRIES`` entries), so the temporaries of
     the distance and Green evaluations do not grow with M."""
-    if k0 * eta_b <= 0.0:
-        raise ValueError("k0 * eta_b must be positive")
+    if not 0.0 < k0 * eta_b < math.inf:
+        raise ValueError("k0 * eta_b must be positive and finite")
     lo = np.array(grid.origin)
     hi = lo + grid.side_length
     inside = np.all((sensors >= lo) & (sensors <= hi), axis=1)
@@ -235,6 +237,8 @@ class _ForwardModel:
         self.scene = scene
         self.cfg = cfg
         self.f = np.asarray(f, dtype=float)
+        if not np.all(np.isfinite(self.f)):
+            raise ValueError("the scattering potential f must be finite")
 
     def measure(self, views, sources: np.ndarray) -> list[np.ndarray]:
         """Per view of ``views``, the field at its active sensors radiated
@@ -284,10 +288,10 @@ class HelmholtzForward(_ForwardModel):
 
     def __init__(self, scene: ScatteringScene, f: np.ndarray,
                  cfg: SolverConfig):
-        k0 = scene.k0
-        if np.min(f) < -k0**2 * scene.eta_b**2:
-            raise ValueError("f would make eta^2 nonpositive")
         super().__init__(scene, f, cfg)
+        k0 = scene.k0
+        if np.min(self.f) < -k0**2 * scene.eta_b**2:
+            raise ValueError("f would make eta^2 nonpositive")
         self.eg = build_extended_grid(scene.grid, cfg.abl_points, cfg.beta,
                                       cfg.levels)
         self.f_ext = embed_potential(self.f, self.eg)

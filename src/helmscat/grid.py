@@ -8,6 +8,7 @@ Fields on a grid are plain ``numpy`` arrays of shape ``(s, s)`` indexed
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +27,12 @@ class Grid2D:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.points_per_side < 3:
+        if not self.points_per_side >= 3:
             raise ValueError("grid needs at least 3 points per side")
-        if self.side_length <= 0.0:
-            raise ValueError("side_length must be positive")
+        if not 0.0 < self.side_length < math.inf:
+            raise ValueError("side_length must be positive and finite")
+        if not all(math.isfinite(c) for c in self.origin):
+            raise ValueError("origin must be finite")
 
     @property
     def h(self) -> float:
@@ -64,10 +67,10 @@ class ExtendedGrid2D:
     levels: int = field(default=1)
 
     def __post_init__(self):
-        if self.abl_points < 0 or self.pad < 0:
+        if not (self.abl_points >= 0 and self.pad >= 0):
             raise ValueError("abl_points and pad must be nonnegative")
-        if self.abl_strength < 0.0:
-            raise ValueError("abl_strength must be nonnegative")
+        if not 0.0 <= self.abl_strength < math.inf:
+            raise ValueError("abl_strength must be nonnegative and finite")
 
     @property
     def points_per_side(self) -> int:
@@ -106,11 +109,11 @@ def build_extended_grid(inner: Grid2D, abl_points: int, beta: float,
     every coarsening step of a ``levels``-deep hierarchy lands on an odd
     side count (side ≡ 1 mod 2**(levels-1)).
     """
-    if abl_points < 0:
+    if not abl_points >= 0:
         raise ValueError("abl_points must be nonnegative")
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
-    if levels < 1:
+    if not 0.0 <= beta < math.inf:
+        raise ValueError("beta must be nonnegative and finite")
+    if not levels >= 1:
         raise ValueError("levels must be at least 1")
     base = inner.points_per_side + 2 * abl_points
     mod = 2 ** (levels - 1)

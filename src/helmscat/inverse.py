@@ -5,6 +5,7 @@ view subsets."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -24,13 +25,13 @@ class ReconstructionConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.gamma <= 0.0 or self.tau <= 0.0:
-            raise ValueError("gamma and tau must be positive")
-        if self.iterations < 0:
+        if not (0.0 < self.gamma < math.inf and 0.0 < self.tau < math.inf):
+            raise ValueError("gamma and tau must be positive and finite")
+        if not self.iterations >= 0:
             raise ValueError("iterations must be nonnegative")
-        if self.subset_size < 1:
+        if not self.subset_size >= 1:
             raise ValueError("subset_size must be at least 1")
-        if self.inner_prox_iterations < 1:
+        if not self.inner_prox_iterations >= 1:
             raise ValueError("inner_prox_iterations must be at least 1")
 
 
@@ -125,8 +126,8 @@ def tv_prox(w: np.ndarray, weight: float, inner_iters: int = 50
             ) -> np.ndarray:
     """Proximal map of weight*TV restricted to the nonnegative orthant,
     via fast gradient projection on the dual."""
-    if weight < 0.0:
-        raise ValueError("weight must be nonnegative")
+    if not 0.0 <= weight < math.inf:
+        raise ValueError("weight must be nonnegative and finite")
     if weight == 0.0:
         return np.maximum(w, 0.0)
     return _tv_prox_dual(w, weight, inner_iters)[0]

@@ -45,9 +45,9 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
     of ``residual_history``.  Raises :class:`BicgstabBreakdown` on a
     vanishing recurrence scalar.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if not max_iter >= 1:
         raise ValueError("max_iter must be at least 1")
     if apply_M is None:
         apply_M = lambda v: v

@@ -1,10 +1,12 @@
 """Lippmann-Schwinger baseline: free-space Green's function sampled on a
-2x-padded grid, FFT convolution, and the total-field solve
-(I - G diag(f)) u = u_in via un-preconditioned Bi-CGSTAB.
+zero-padded grid, FFT convolution, and the total-field solve
+(I - G diag(f)) u = u_in via un-preconditioned Bi-CGSTAB on the smallest
+square window that holds the support of f.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +56,28 @@ def _singular_cell_integral(k: float, h: float) -> complex:
 
 @dataclass
 class GreenKernel:
-    """Discretized Green's kernel with the quadrature weight h^2 folded in;
-    ``spectrum`` is the FFT of the kernel on the (2s)^2 padded grid."""
+    """Discretized Green's kernel with the quadrature weight h^2 folded in.
+
+    ``quadrant`` (read-only) holds the kernel at the (s+1)^2 distinct
+    |offsets|; ``spectrum`` is the FFT of the kernel on the padded grid,
+    whose side is the padded length of :func:`apply_green_convolution`."""
 
     grid: Grid2D
     k0: float
     eta_b: float
     spectrum: np.ndarray
     singular_value: complex
+    quadrant: np.ndarray
+
+
+def _mirrored_spectrum(quadrant: np.ndarray, length: int) -> np.ndarray:
+    """FFT of the kernel on the ``length``^2 padded grid, index i standing
+    for offset i or i - length, whichever is shorter.  |offsets| past the
+    quadrant, which no convolution of a field on the grid reaches, are
+    clipped to its last row."""
+    idx = np.arange(length)
+    mirror = np.minimum(np.minimum(idx, length - idx), quadrant.shape[0] - 1)
+    return np.fft.fft2(quadrant[mirror[:, None], mirror])
 
 
 def sample_green_kernel(grid: Grid2D, k0: float, eta_b: float) -> GreenKernel:
@@ -71,8 +87,8 @@ def sample_green_kernel(grid: Grid2D, k0: float, eta_b: float) -> GreenKernel:
     The kernel depends on |offset| only, so the Green's function is
     evaluated on the (s+1)^2 quadrant of distinct |offsets| and mirrored
     into the padded grid."""
-    if k0 * eta_b <= 0.0:
-        raise ValueError("k0 * eta_b must be positive")
+    if not 0.0 < k0 * eta_b < math.inf:
+        raise ValueError("k0 * eta_b must be positive and finite")
     s = grid.points_per_side
     h = grid.h
     k = k0 * eta_b
@@ -83,15 +99,26 @@ def sample_green_kernel(grid: Grid2D, k0: float, eta_b: float) -> GreenKernel:
     quadrant[nz] = h**2 * green_value(k, r[nz])
     g0 = _singular_cell_integral(k, h)
     quadrant[0, 0] = g0
-    idx = np.arange(2 * s)
-    mirror = np.where(idx < s, idx, 2 * s - idx)
-    kern = quadrant[mirror[:, None], mirror]
-    return GreenKernel(grid, k0, eta_b, np.fft.fft2(kern), g0)
+    quadrant.flags.writeable = False
+    return GreenKernel(grid, k0, eta_b, _mirrored_spectrum(quadrant, 2 * s),
+                       g0, quadrant)
+
+
+def _window_kernel(kernel: GreenKernel, n: int) -> GreenKernel:
+    """The kernel of an n-by-n window of the grid, from the samples of
+    ``kernel``, padded to ``next_fast_len(2n - 1)``: the first length with
+    only small prime factors at or above the 2n - 1 that keeps the
+    convolution aperiodic.  Of its grid only the side is read."""
+    g = kernel.grid
+    return GreenKernel(
+        Grid2D(n, (n - 1) * g.h, g.origin), kernel.k0, kernel.eta_b,
+        _mirrored_spectrum(kernel.quadrant, fft.next_fast_len(2 * n - 1)),
+        kernel.singular_value, kernel.quadrant[:n + 1, :n + 1])
 
 
 def apply_green_convolution(kernel: GreenKernel, w: np.ndarray) -> np.ndarray:
-    """Aperiodic convolution of a field on the region of interest with the
-    Green's kernel, via zero padding to twice the side.
+    """Aperiodic convolution of a field on the kernel's grid with the
+    Green's kernel, via zero padding to the side of ``kernel.spectrum``.
 
     The padded transform is pruned: the forward pass along axis 0 runs on
     the s nonzero columns only, and the inverse pass along axis 0 on the s
@@ -99,24 +126,74 @@ def apply_green_convolution(kernel: GreenKernel, w: np.ndarray) -> np.ndarray:
     s = kernel.grid.points_per_side
     if w.shape != (s, s):
         raise ValueError(f"field shape {w.shape} does not match grid {s}")
-    spec = fft.fft(fft.fft(w, n=2 * s, axis=0), n=2 * s, axis=1,
+    length = kernel.spectrum.shape[0]
+    spec = fft.fft(fft.fft(w, n=length, axis=0), n=length, axis=1,
                    overwrite_x=True)
     spec *= kernel.spectrum
     conv = fft.ifft(spec, axis=1, overwrite_x=True)[:, :s]
     return fft.ifft(conv, axis=0, overwrite_x=True)[:s]
 
 
+def _support_window(f: np.ndarray) -> tuple[slice, slice] | None:
+    """The smallest square window of the grid, at least 3 points wide
+    (the least a :class:`Grid2D` has), that holds the nonzero rows and
+    columns of ``f``; None when ``f`` is zero."""
+    s = f.shape[0]
+    rows = np.flatnonzero(np.any(f, axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(np.any(f, axis=0))
+    n = max(rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1, 3)
+    r0, c0 = min(rows[0], s - n), min(cols[0], s - n)
+    return slice(r0, r0 + n), slice(c0, c0 + n)
+
+
+def _lis_operator(kernel: GreenKernel, f: np.ndarray):
+    """u -> u - G(f u) on the kernel's grid."""
+    return lambda u: u - apply_green_convolution(kernel, f * u)
+
+
 def solve_lis(kernel: GreenKernel, f: np.ndarray, u_in: np.ndarray,
               tol: float = 1e-6, max_iter: int = 1000
               ) -> tuple[np.ndarray, SolveReport]:
     """Total field on the region of interest from the scattering potential
-    ``f`` and incident field ``u_in``."""
+    ``f`` and incident field ``u_in``.
+
+    Outside the support of ``f`` the total field is explicit,
+    u = u_in + G(f u), so Bi-CGSTAB runs only on the smallest square
+    window B that holds the support, with a kernel padded to a fast FFT
+    length.  The field returned is the window solution u_B inside B and
+    u_in + G(f u_B) outside it, from one convolution on the whole grid.
+    Its residual on the grid is then the window residual, so the window
+    solve stops at ||r_B|| <= tol * ||u_in||, the full solve's own test.
+    A window as large as the grid is solved on the grid directly, and
+    ``f = 0`` returns ``u_in`` with no iteration."""
     s = kernel.grid.points_per_side
     if f.shape != (s, s) or u_in.shape != (s, s):
         raise ValueError("f and u_in must live on the kernel grid")
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(u_in))):
+        raise ValueError("f and u_in must be finite")
+    window = _support_window(f)
+    if window is None:
+        return u_in.astype(complex), SolveReport(0, [0.0], converged=True)
+    n = window[0].stop - window[0].start
+    if n == s:
+        return bicgstab(_lis_operator(kernel, f), u_in.astype(complex),
+                        tol=tol, max_iter=max_iter)
 
-    def apply_A(u):
-        return u - apply_green_convolution(kernel, f * u)
-
-    return bicgstab(apply_A, u_in.astype(complex), tol=tol,
-                    max_iter=max_iter)
+    # the field is allocated first and the window kernel is held to the
+    # end, so that the solve's temporaries lie above both on the heap and
+    # are handed back together once freed
+    u = u_in.astype(complex)
+    f_b = np.ascontiguousarray(f[window])
+    b = u_in[window].astype(complex)
+    b_norm = np.linalg.norm(b)
+    scale = np.linalg.norm(u_in) / b_norm if b_norm > 0.0 else 1.0
+    window_kernel = _window_kernel(kernel, n)
+    u_b, report = bicgstab(_lis_operator(window_kernel, f_b), b,
+                           tol=tol * scale, max_iter=max_iter)
+    fu = np.zeros((s, s), dtype=complex)
+    fu[window] = f_b * u_b
+    u += apply_green_convolution(kernel, fu)
+    u[window] = u_b
+    return u, report

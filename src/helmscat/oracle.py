@@ -27,8 +27,10 @@ class DiskScene:
     truncation_order: int = 0
 
     def __post_init__(self):
-        if self.radius <= 0.0 or self.eta_disk <= 0.0 or self.eta_b <= 0.0:
-            raise ValueError("radius and refractive indices must be positive")
+        if not all(0.0 < v < np.inf
+                   for v in (self.radius, self.eta_disk, self.eta_b)):
+            raise ValueError("radius and refractive indices must be "
+                             "positive and finite")
         min_order = int(np.ceil(self.k0 * self.eta_disk * self.radius)) + 15
         if self.truncation_order == 0:
             # default margin deeper than the floor so the tail test clears

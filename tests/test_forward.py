@@ -5,7 +5,7 @@ import pytest
 from scipy.special import hankel1
 
 import helmscat as hs
-from helmscat.forward import sensor_green_operator
+from helmscat.forward import LisForward, sensor_green_operator
 
 
 @pytest.fixture(autouse=True)
@@ -506,3 +506,32 @@ def test_multigrid_solve_counts_pinned(levels, iterations, work_units):
     assert all(r.converged for r in reports)
     assert [r.iterations for r in reports] == iterations
     assert fwd.hier.meter.total == work_units
+
+
+@pytest.mark.parametrize("k0", [np.nan, np.inf])
+def test_sensor_operator_rejects_non_finite_wavenumber(k0):
+    g = hs.Grid2D(9, 8.0, (-4.0, -4.0))
+    with pytest.raises(ValueError, match="k0 \\* eta_b must be positive"):
+        sensor_green_operator(g, np.array([[10.0, 0.0]]), k0, 1.0)
+
+
+@pytest.mark.parametrize("kwargs", [dict(wavelength=np.nan),
+                                    dict(wavelength=np.inf),
+                                    dict(sensor_radius=np.nan)])
+def test_geometry_rejects_non_finite_values(kwargs):
+    args = dict(num_views=2, num_sensors=4, sensor_radius=40.0,
+                wavelength=10.0)
+    args.update(kwargs)
+    with pytest.raises(ValueError, match="must be"):
+        hs.make_circular_geometry(**args)
+
+
+@pytest.mark.parametrize("model", [hs.HelmholtzForward, LisForward])
+def test_forward_models_reject_non_finite_potential(model):
+    g = hs.Grid2D(9, 8.0, (-4.0, -4.0))
+    scene = hs.ScatteringScene(g, 1.0, hs.make_circular_geometry(2, 4, 40.0,
+                                                                 10.0))
+    f = np.zeros((9, 9))
+    f[4, 4] = np.nan
+    with pytest.raises(ValueError, match="f must be finite"):
+        model(scene, f, hs.SolverConfig(abl_points=2, beta=0.0, levels=1))

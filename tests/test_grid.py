@@ -25,6 +25,15 @@ def test_grid_validation():
         Grid2D(2, 1.0)
     with pytest.raises(ValueError):
         Grid2D(5, -1.0)
+    for side in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="side_length"):
+            Grid2D(9, side)
+    for origin in ((np.nan, 0.0), (0.0, -np.inf)):
+        with pytest.raises(ValueError, match="origin"):
+            Grid2D(9, 1.0, origin)
+    for beta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="beta must be nonnegative"):
+            build_extended_grid(Grid2D(9, 1.0), 2, beta, 1)
 
 
 def test_extended_side_large_case():

@@ -93,8 +93,9 @@ def test_prox_duality_gap_certificate():
 
 
 def test_prox_negative_weight_rejected():
-    with pytest.raises(ValueError):
-        tv_prox(np.zeros((4, 4)), -0.1)
+    for weight in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="weight must be nonnegative"):
+            tv_prox(np.zeros((4, 4)), weight)
 
 
 def test_snr_values():
@@ -130,7 +131,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         hs.ReconstructionConfig(gamma=1.0, tau=1.0, iterations=1,
                                 subset_size=0)
-    for bad, match in ((dict(iterations=-2), "iterations must be"),
+    for bad, match in ((dict(gamma=np.nan), "gamma and tau"),
+                       (dict(tau=np.nan), "gamma and tau"),
+                       (dict(tau=np.inf), "gamma and tau"),
+                       (dict(iterations=-2), "iterations must be"),
                        (dict(subset_size=-5), "subset_size must be"),
                        (dict(inner_prox_iterations=0), "inner_prox_it"),
                        (dict(inner_prox_iterations=-3), "inner_prox_it")):

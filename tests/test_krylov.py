@@ -87,8 +87,9 @@ def test_breakdown_raises():
 
 def test_argument_validation():
     b = np.ones(3, dtype=complex)
-    with pytest.raises(ValueError):
-        bicgstab(lambda v: v, b, tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            bicgstab(lambda v: v, b, tol=tol)
     with pytest.raises(ValueError):
         bicgstab(lambda v: v, b, max_iter=0)
 

@@ -4,11 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 from scipy.special import hankel1
 
 from helmscat import (Grid2D, DiskScene, analytic_disk_field, relative_error,
                       sample_green_kernel, apply_green_convolution, solve_lis,
                       plane_wave)
+from helmscat.krylov import bicgstab
 from helmscat.lis import green_value, _singular_cell_integral
 
 
@@ -91,8 +93,10 @@ def test_shape_validation():
         apply_green_convolution(kernel, np.zeros((5, 5)))
     with pytest.raises(ValueError):
         solve_lis(kernel, np.zeros((5, 5)), np.zeros((9, 9)))
-    with pytest.raises(ValueError):
-        sample_green_kernel(g, 0.0, 1.0)
+    for k0, eta_b in ((0.0, 1.0), (np.nan, 1.0), (1.0, np.nan),
+                      (np.inf, 1.0)):
+        with pytest.raises(ValueError, match="k0 \\* eta_b must be positive"):
+            sample_green_kernel(g, k0, eta_b)
 
 
 def test_green_value_matches_hankel1():
@@ -201,3 +205,143 @@ def test_kernel_spectrum_matches_full_grid_construction(s):
     kern[0, 0] = _singular_cell_integral(k, g.h)
     kernel = sample_green_kernel(g, 1.3, 1.1)
     assert kernel.spectrum.tobytes() == np.fft.fft2(kern).tobytes()
+
+
+def _full_grid_solve(kernel, f, u_in, tol, max_iter=1000):
+    """The solve on the whole grid, as it ran before the support window."""
+    return bicgstab(lambda u: u - apply_green_convolution(kernel, f * u),
+                    u_in.astype(complex), tol=tol, max_iter=max_iter)
+
+
+def _window_problem(s=33):
+    g = Grid2D(s, 16.0, (-8.0, -8.0))
+    k0 = 2.0 * np.pi / 10.0
+    return (g, sample_green_kernel(g, k0, 1.0),
+            plane_wave(g, (0.6, -0.8), k0, 1.0), k0 ** 2 * (1.2 ** 2 - 1.0))
+
+
+def test_full_support_solve_bit_identical_to_full_grid_solve():
+    g, kernel, u_in, contrast = _window_problem(17)
+    rng = np.random.default_rng(3)
+    # the second potential is one row across the grid: its square window
+    # is the whole grid
+    for f in (contrast * rng.random((17, 17)),
+              _support(17, 3, slice(None), contrast)):
+        u, rep = solve_lis(kernel, f, u_in, tol=1e-8)
+        u_ref, rep_ref = _full_grid_solve(kernel, f, u_in, 1e-8)
+        assert u.tobytes() == u_ref.tobytes()
+        assert rep.iterations == rep_ref.iterations
+        assert rep.residual_history == rep_ref.residual_history
+
+
+def _support(s, rows, cols, value):
+    f = np.zeros((s, s))
+    f[rows, cols] = value
+    return f
+
+
+@pytest.mark.parametrize("name", ["disk", "high edge", "non-square",
+                                  "one cell", "corner cell"])
+def test_window_solve_matches_full_grid_solve(name):
+    s = 33
+    g, kernel, u_in, contrast = _window_problem(s)
+    x, y = g.coords()
+    f = {"disk": np.where(np.hypot(x - 1.0, y + 0.5) <= 4.0, contrast, 0.0),
+         # rows 31-32 and columns 3-9: the 7-wide window is clipped back
+         # from the high row edge
+         "high edge": _support(s, slice(31, 33), slice(3, 10), contrast),
+         "non-square": _support(s, slice(4, 20), slice(10, 13), contrast),
+         "one cell": _support(s, 12, 20, 4.0 * contrast),
+         "corner cell": _support(s, 32, 32, 4.0 * contrast)}[name]
+    tol = 1e-8
+    u, rep = solve_lis(kernel, f, u_in, tol=tol)
+    u_ref, rep_ref = _full_grid_solve(kernel, f, u_in, tol)
+    assert rep.converged and rep_ref.converged
+    assert relative_error(u, u_ref) <= 10 * tol
+    # the returned field meets the full solve's stopping test on the grid
+    r = u_in - (u - apply_green_convolution(kernel, f * u))
+    assert np.linalg.norm(r) <= tol * np.linalg.norm(u_in)
+
+
+def test_window_solve_of_zero_incident_field_is_zero():
+    g, kernel, u_in, contrast = _window_problem(17)
+    f = _support(17, slice(4, 9), slice(6, 10), contrast)
+    u, rep = solve_lis(kernel, f, np.zeros((17, 17)))
+    assert rep.converged and rep.iterations == 0
+    assert not np.any(u)
+
+
+def _counting_convolution(monkeypatch):
+    """Patches the module's convolution with one that records the padded
+    side of every kernel it is given."""
+    from helmscat import lis
+    sides = []
+    original = lis.apply_green_convolution
+
+    def counted(kernel, w):
+        sides.append(kernel.spectrum.shape[0])
+        return original(kernel, w)
+
+    monkeypatch.setattr(lis, "apply_green_convolution", counted)
+    return sides
+
+
+def test_window_solve_routes_every_convolution_through_one_function(
+        monkeypatch):
+    from helmscat import lis
+    g, kernel, u_in, contrast = _window_problem()
+    x, y = g.coords()
+    f = np.where(np.hypot(x, y) <= 4.0, contrast, 0.0)
+    applies = []
+    original_bicgstab = lis.bicgstab
+
+    def counting_bicgstab(apply_A, b, **kwargs):
+        def counted(u):
+            applies.append(u.shape)
+            return apply_A(u)
+        return original_bicgstab(counted, b, **kwargs)
+
+    monkeypatch.setattr(lis, "bicgstab", counting_bicgstab)
+    sides = _counting_convolution(monkeypatch)
+    _, rep = solve_lis(kernel, f, u_in)
+    assert rep.converged and rep.iterations > 1
+    # one convolution per operator apply on the window, then one on the
+    # whole grid for the field outside it
+    n = applies[0][0]
+    assert n < 33 and set(applies) == {(n, n)}
+    assert len(sides) == len(applies) + 1
+    assert sides[-1] == 2 * 33
+    assert set(sides[:-1]) == {scipy_fft.next_fast_len(2 * n - 1)}
+
+
+def test_window_of_201_pads_to_a_fast_length(monkeypatch):
+    s = 205
+    g = Grid2D(s, 25.5, (-12.75, -12.75))
+    k0 = 2.0 * np.pi / 10.0
+    kernel = sample_green_kernel(g, k0, 1.0)
+    u_in = plane_wave(g, (1.0, 0.0), k0, 1.0)
+    f = _support(s, slice(2, 203), slice(50, 60), 0.01)
+    sides = _counting_convolution(monkeypatch)
+    solve_lis(kernel, f, u_in, max_iter=1)
+    # 2 * 201 = 402 = 2 * 3 * 67; 405 = 3^4 * 5 is the next fast length
+    assert set(sides[:-1]) == {405}
+    assert sides[-1] == 2 * s
+
+
+def test_kernel_quadrant_is_read_only():
+    g = Grid2D(9, 4.0, (-2.0, -2.0))
+    kernel = sample_green_kernel(g, 1.3, 1.0)
+    assert kernel.quadrant.shape == (10, 10)
+    assert kernel.quadrant[0, 0] == kernel.singular_value
+    with pytest.raises(ValueError):
+        kernel.quadrant[1, 1] = 0.0
+
+
+@pytest.mark.parametrize("bad", ["f", "u_in"])
+def test_solve_rejects_non_finite_input(bad):
+    g, kernel, u_in, contrast = _window_problem(17)
+    f = np.zeros((17, 17))
+    f[5:9, 5:9] = contrast
+    (f if bad == "f" else u_in)[0, 0] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_lis(kernel, f, u_in)

@@ -72,8 +72,10 @@ def test_center_phase_referencing():
 def test_truncation_floor_enforced():
     with pytest.raises(ValueError):
         DiskScene(1.25, 2.2, 1.0, 1.0, truncation_order=3)
-    with pytest.raises(ValueError):
-        DiskScene(-1.0, 2.2, 1.0, 1.0)
+    for args in ((-1.0, 2.2, 1.0), (np.nan, 2.2, 1.0), (1.25, np.nan, 1.0),
+                 (1.25, 2.2, np.inf)):
+        with pytest.raises(ValueError, match="must be positive"):
+            DiskScene(*args, 1.0)
 
 
 def test_direction_must_be_unit():

@@ -10,8 +10,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (Grid2D, build_extended_grid, embed_potential,
-                   restrict_to_roi)
+from .grid import (Grid2D, build_extended_grid, check_integer,
+                   embed_potential, restrict_to_roi)
 from .helmholtz import assemble
 from .krylov import SolveReport, bicgstab
 from .lis import GreenKernel, green_value, sample_green_kernel, solve_lis
@@ -142,22 +142,6 @@ class ScatteringScene:
         """The scene's Lippmann-Schwinger :class:`GreenKernel`."""
         return sample_green_kernel(self.grid, self.k0, self.eta_b)
 
-    @cached_property
-    def _incident_cache(self) -> dict:
-        return {}
-
-    def incident_waves(self, grid: Grid2D) -> np.ndarray:
-        """Every view's incident plane wave on ``grid``, a read-only stack of
-        shape (num_views, s, s).  Like the operators above it does not
-        depend on the potential: it is built on first use per grid and
-        kept, so call it only for grids small enough to hold."""
-        waves = self._incident_cache.get(grid)
-        if waves is None:
-            waves = _plane_waves(self, grid, range(self.geometry.num_views))
-            waves.flags.writeable = False
-            self._incident_cache[grid] = waves
-        return waves
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -174,6 +158,9 @@ class SolverConfig:
     max_iter: int = 500
 
     def __post_init__(self):
+        for name in ("abl_points", "levels", "nu1", "nu2", "cycle_type",
+                     "max_iter"):
+            check_integer(name, getattr(self, name))
         # written so that a NaN fails each check
         if not self.levels >= 1:
             raise ValueError("levels must be at least 1")
@@ -195,12 +182,15 @@ class SolverConfig:
 
 def plane_wave(grid: Grid2D, direction: tuple[float, float], k0: float,
                eta_b: float, u0: complex = 1.0) -> np.ndarray:
-    """Samples u0 * exp(j * k0 * eta_b * <direction, x>) on the grid."""
+    """Samples u0 * exp(j * k0 * eta_b * <direction, x>) on a Grid2D or an
+    extended grid, as the outer product of one exponential per axis."""
     d = np.asarray(direction, dtype=float)
     if not np.isclose(np.hypot(*d), 1.0):
         raise ValueError("direction must be a unit vector")
-    x, y = grid.coords()
-    return u0 * np.exp(1j * k0 * eta_b * (d[0] * x + d[1] * y))
+    k = k0 * eta_b
+    steps = grid.h * np.arange(grid.points_per_side)
+    return np.outer(u0 * np.exp(1j * k * d[0] * (grid.origin[0] + steps)),
+                    np.exp(1j * k * d[1] * (grid.origin[1] + steps)))
 
 
 def sensor_green_operator(grid: Grid2D, sensors: np.ndarray, k0: float,
@@ -269,7 +259,7 @@ class _ForwardModel:
         return self.measure(views, self.f * u), reports
 
 
-def _plane_waves(scene: ScatteringScene, grid: Grid2D, views) -> np.ndarray:
+def _plane_waves(scene: ScatteringScene, grid, views) -> np.ndarray:
     """Stack of the incident waves of ``views`` on ``grid``."""
     g = scene.geometry
     return np.stack([plane_wave(grid, g.directions[q], scene.k0, scene.eta_b,
@@ -303,24 +293,9 @@ class HelmholtzForward(_ForwardModel):
         self.hier = MgHierarchy(self.op, 1 if self.direct else cfg.levels,
                                 cfg.nu1, cfg.nu2, cfg.omega, cfg.cycle_type)
         self._precond = self.hier.as_preconditioner()
-        side = self.eg.points_per_side
-        self._ext_grid = Grid2D(side, (side - 1) * self.eg.h, self.eg.origin)
-
-    def _incident(self, views) -> np.ndarray:
-        """Incident waves of ``views`` on the extended grid.  On the direct
-        path the scene keeps every view's wave, as the grid is small; on
-        the multigrid path they are evaluated per call (eight views at 321^2
-        would hold 13 MiB)."""
-        views = list(views)
-        if not self.direct:
-            return _plane_waves(self.scene, self._ext_grid, views)
-        waves = self.scene.incident_waves(self._ext_grid)
-        # every view in order (a full TV-FBS subset): the read-only cache
-        # itself, which saves a copy of the stack at the peak
-        return waves if views == list(range(len(waves))) else waves[views]
 
     def incident_extended(self, view: int) -> np.ndarray:
-        return self._incident([view])[0]
+        return _plane_waves(self.scene, self.eg, [view])[0]
 
     def _solve(self, b: np.ndarray, warm=None, keys=()
                ) -> tuple[np.ndarray, list[SolveReport]]:
@@ -361,7 +336,8 @@ class HelmholtzForward(_ForwardModel):
 
     def scattered_field(self, view: int) -> tuple[np.ndarray, SolveReport]:
         """Scattered field of one view on the extended domain."""
-        u_sc, reports = self._solve(self.f_ext * self._incident([view]))
+        u_sc, reports = self._solve(
+            self.f_ext * _plane_waves(self.scene, self.eg, [view]))
         return u_sc[0], reports[0]
 
     def fields(self, views, warm=None
@@ -374,7 +350,7 @@ class HelmholtzForward(_ForwardModel):
         multigrid path each view's solve starts from that view's scattered
         field stored there by an earlier call, if any, and stores its new
         one.  The direct path neither reads nor fills it."""
-        u_in = self._incident(views)
+        u_in = _plane_waves(self.scene, self.eg, views)
         u_sc, reports = self._solve(self.f_ext * u_in, warm,
                                     [("forward", q) for q in views])
         u_sc += u_in

@@ -9,9 +9,18 @@ Fields on a grid are plain ``numpy`` arrays of shape ``(s, s)`` indexed
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def check_integer(name: str, value) -> None:
+    """Raises TypeError unless ``value`` is a Python or numpy integer."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -27,6 +36,7 @@ class Grid2D:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        check_integer("points_per_side", self.points_per_side)
         if not self.points_per_side >= 3:
             raise ValueError("grid needs at least 3 points per side")
         if not 0.0 < self.side_length < math.inf:
@@ -67,6 +77,8 @@ class ExtendedGrid2D:
     levels: int = field(default=1)
 
     def __post_init__(self):
+        check_integer("abl_points", self.abl_points)
+        check_integer("pad", self.pad)
         if not (self.abl_points >= 0 and self.pad >= 0):
             raise ValueError("abl_points and pad must be nonnegative")
         if not 0.0 <= self.abl_strength < math.inf:
@@ -109,6 +121,7 @@ def build_extended_grid(inner: Grid2D, abl_points: int, beta: float,
     every coarsening step of a ``levels``-deep hierarchy lands on an odd
     side count (side ≡ 1 mod 2**(levels-1)).
     """
+    check_integer("levels", levels)
     if not abl_points >= 0:
         raise ValueError("abl_points must be nonnegative")
     if not 0.0 <= beta < math.inf:

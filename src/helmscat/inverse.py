@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forward import HelmholtzForward, ScatteringScene, SolverConfig
+from .grid import check_integer
 
 
 @dataclass
@@ -27,6 +28,8 @@ class ReconstructionConfig:
     def __post_init__(self):
         if not (0.0 < self.gamma < math.inf and 0.0 < self.tau < math.inf):
             raise ValueError("gamma and tau must be positive and finite")
+        for name in ("iterations", "subset_size", "inner_prox_iterations"):
+            check_integer(name, getattr(self, name))
         if not self.iterations >= 0:
             raise ValueError("iterations must be nonnegative")
         if not self.subset_size >= 1:
@@ -128,6 +131,8 @@ def tv_prox(w: np.ndarray, weight: float, inner_iters: int = 50
     via fast gradient projection on the dual."""
     if not 0.0 <= weight < math.inf:
         raise ValueError("weight must be nonnegative and finite")
+    if not inner_iters >= 1:
+        raise ValueError("inner_iters must be at least 1")
     if weight == 0.0:
         return np.maximum(w, 0.0)
     return _tv_prox_dual(w, weight, inner_iters)[0]

@@ -122,7 +122,8 @@ def apply_green_convolution(kernel: GreenKernel, w: np.ndarray) -> np.ndarray:
 
     The padded transform is pruned: the forward pass along axis 0 runs on
     the s nonzero columns only, and the inverse pass along axis 0 on the s
-    kept columns only, so no padded copy of ``w`` is made."""
+    kept columns only, so no padded copy of ``w`` is made.  The result
+    owns its data: keeping it does not keep the padded buffer."""
     s = kernel.grid.points_per_side
     if w.shape != (s, s):
         raise ValueError(f"field shape {w.shape} does not match grid {s}")
@@ -131,7 +132,7 @@ def apply_green_convolution(kernel: GreenKernel, w: np.ndarray) -> np.ndarray:
                    overwrite_x=True)
     spec *= kernel.spectrum
     conv = fft.ifft(spec, axis=1, overwrite_x=True)[:, :s]
-    return fft.ifft(conv, axis=0, overwrite_x=True)[:s]
+    return fft.ifft(conv, axis=0, overwrite_x=True)[:s].copy()
 
 
 def _support_window(f: np.ndarray) -> tuple[slice, slice] | None:
@@ -149,8 +150,12 @@ def _support_window(f: np.ndarray) -> tuple[slice, slice] | None:
 
 
 def _lis_operator(kernel: GreenKernel, f: np.ndarray):
-    """u -> u - G(f u) on the kernel's grid."""
-    return lambda u: u - apply_green_convolution(kernel, f * u)
+    """u -> u - G(f u) on the kernel's grid, written over the fresh array
+    G(f u), so that the difference allocates no field of its own."""
+    def apply(u):
+        g = apply_green_convolution(kernel, f * u)
+        return np.subtract(u, g, out=g)
+    return apply
 
 
 def solve_lis(kernel: GreenKernel, f: np.ndarray, u_in: np.ndarray,

@@ -32,6 +32,33 @@ def test_plane_wave_values():
         hs.plane_wave(g, (2.0, 0.0), k0, 1.0)
 
 
+def _plane_wave_reference(grid, direction, k0, eta_b, u0=1.0):
+    """The wave as exp of the phase summed over the full meshgrid."""
+    x, y = grid.coords()
+    return u0 * np.exp(1j * k0 * eta_b * (direction[0] * x + direction[1] * y))
+
+
+def test_plane_wave_matches_exp_of_phase_sum():
+    # the 8 views of the 256^2 benchmark on its 321^2 extended grid, which
+    # plane_wave reads directly, against the Grid2D of the same points
+    inner = hs.Grid2D(256, 31.875, (-15.9375, -15.9375))
+    eg = hs.build_extended_grid(inner, 32, 0.15, 3)
+    side = eg.points_per_side
+    assert side == 321
+    ext = hs.Grid2D(side, (side - 1) * eg.h, eg.origin)
+    geom = hs.make_circular_geometry(8, 40, 40.0, 10.0)
+    for d in geom.directions:
+        u = hs.plane_wave(eg, d, geom.k0, 1.0)
+        ref = _plane_wave_reference(ext, d, geom.k0, 1.0)
+        assert u.shape == (side, side)
+        assert np.max(np.abs(u - ref)) <= 1e-14
+    g = hs.Grid2D(17, 6.0, (-2.0, 1.0))
+    u0 = 0.7 - 0.4j
+    u = hs.plane_wave(g, (0.6, -0.8), 1.1, 1.3, u0)
+    ref = _plane_wave_reference(g, (0.6, -0.8), 1.1, 1.3, u0)
+    assert np.max(np.abs(u - ref)) <= 1e-14
+
+
 def test_geometry_directions_point_inward():
     geom = hs.make_circular_geometry(4, 16, 40.0, 10.0)
     np.testing.assert_allclose(geom.directions[0], [-1.0, 0.0], atol=1e-15)
@@ -139,8 +166,7 @@ def test_solver_config_rejects_bad_values(field, value, needle):
 
 @pytest.mark.usefixtures("multigrid_path")
 def test_total_field_evaluates_incident_wave_once(monkeypatch):
-    # the multigrid path evaluates a view's incident wave per solve; the
-    # direct path keeps them on the scene (see the caching test below)
+    # a view's incident wave is evaluated once per solve
     from helmscat import forward
     scene = _small_scene()
     cfg = hs.SolverConfig(abl_points=4, beta=0.15, levels=2)
@@ -461,30 +487,6 @@ def test_jvp_batches_views():
     assert len(dy) == 2 and all(rep.converged for rep in reports)
     (dy5,), _ = fwd.jvp([5], v)
     np.testing.assert_allclose(dy[1], dy5, rtol=1e-13, atol=0)
-
-
-def test_direct_path_caches_incident_waves_on_the_scene(monkeypatch):
-    from helmscat import forward
-    scene, f = _reconstruct_64_scene()
-    cfg = hs.SolverConfig(abl_points=4, beta=0.0, levels=2)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return hs.plane_wave(*args, **kwargs)
-
-    monkeypatch.setattr(forward, "plane_wave", counting)
-    fwd = hs.HelmholtzForward(scene, f, cfg)
-    u, _ = fwd.fields([3])
-    assert len(calls) == scene.geometry.num_views
-    hs.HelmholtzForward(scene, 0.5 * f, cfg).fields(range(8))
-    assert len(calls) == scene.geometry.num_views
-    waves = scene.incident_waves(fwd._ext_grid)
-    assert waves.shape == (8, 73, 73) and not waves.flags.writeable
-    ext = fwd._ext_grid
-    np.testing.assert_array_equal(
-        waves[3], hs.plane_wave(ext, scene.geometry.directions[3], scene.k0,
-                                scene.eta_b))
 
 
 @pytest.mark.usefixtures("multigrid_path")

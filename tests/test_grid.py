@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import helmscat as hs
 from helmscat import (Grid2D, build_extended_grid, embed_potential,
                       restrict_to_roi)
 
@@ -34,6 +35,24 @@ def test_grid_validation():
     for beta in (np.nan, np.inf):
         with pytest.raises(ValueError, match="beta must be nonnegative"):
             build_extended_grid(Grid2D(9, 1.0), 2, beta, 1)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda v: Grid2D(v, 1.0), "points_per_side"),
+    (lambda v: build_extended_grid(Grid2D(17, 1.0), 4, 0.1, v), "levels"),
+    (lambda v: build_extended_grid(Grid2D(17, 1.0), v, 0.1, 2), "abl_points"),
+    (lambda v: hs.SolverConfig(levels=v), "levels"),
+    (lambda v: hs.SolverConfig(max_iter=v), "max_iter"),
+    (lambda v: hs.ReconstructionConfig(1.0, 1.0, iterations=v,
+                                       subset_size=1), "iterations"),
+], ids=["grid", "extended levels", "extended abl", "solver levels",
+        "solver max_iter", "reconstruction iterations"])
+def test_integer_sizes_reject_non_integers(make, name):
+    # a float size would construct and then fail, or not, inside a solve
+    make(np.int64(3))
+    for bad in (2.5, 3.0):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            make(bad)
 
 
 def test_extended_side_large_case():

@@ -96,6 +96,9 @@ def test_prox_negative_weight_rejected():
     for weight in (-0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="weight must be nonnegative"):
             tv_prox(np.zeros((4, 4)), weight)
+    for inner_iters in (0, -3):
+        with pytest.raises(ValueError, match="inner_iters must be at least"):
+            tv_prox(np.zeros((4, 4)), 0.5, inner_iters)
 
 
 def test_snr_values():
@@ -461,10 +464,9 @@ def test_direct_reconstruction_solve_and_wave_counts(monkeypatch):
     assert krylov.bicgstab is not forward.bicgstab
     rc = hs.ReconstructionConfig(gamma=0.05, tau=1e-4, iterations=4,
                                  subset_size=2, seed=1, solver=cfg)
-    # a scene that has not evaluated its incident waves yet
-    fresh = hs.ScatteringScene(scene.grid, scene.eta_b, scene.geometry)
-    hs.reconstruct_fbs(ms, fresh, rc)
-    # every incident wave once per run, one LU solve per direction and
+    hs.reconstruct_fbs(ms, scene, rc)
+    # one incident wave per view solved, one LU solve per direction and
     # iteration, and no Krylov iterations around the exact solves
-    assert calls == {"plane_wave": scene.geometry.num_views, "bicgstab": 0,
+    assert calls == {"plane_wave": rc.iterations * rc.subset_size,
+                     "bicgstab": 0,
                      "coarsest_solve": 2 * rc.iterations}

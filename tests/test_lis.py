@@ -126,7 +126,8 @@ def test_convolution_matches_padded_fft2(s):
     w_before = w.copy()
     out = apply_green_convolution(kernel, w)
     ref = _padded_fft2_convolution(kernel, w)
-    assert out.shape == (s, s)
+    # a field of its own, not a view that keeps the padded buffer alive
+    assert out.shape == (s, s) and out.flags.owndata
     np.testing.assert_allclose(out, ref, rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(ref)))
     np.testing.assert_array_equal(w, w_before)

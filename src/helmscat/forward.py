@@ -44,10 +44,18 @@ class AcquisitionGeometry:
 
     def __post_init__(self):
         d = np.asarray(self.directions, dtype=float)
+        if d.ndim != 2 or d.shape[1] != 2:
+            raise ValueError(f"directions must have shape (Q, 2), "
+                             f"got {d.shape}")
         if not np.allclose(np.hypot(d[:, 0], d[:, 1]), 1.0, atol=1e-12):
             raise ValueError("directions must be unit vectors")
+        if self.active.dtype != bool:
+            raise ValueError(f"active mask must be boolean, got "
+                             f"{self.active.dtype}")
         if self.active.shape != (d.shape[0], self.sensors.shape[0]):
             raise ValueError("active mask shape mismatch")
+        if not np.isfinite(self.u0):
+            raise ValueError(f"u0 must be finite, got {self.u0}")
         if not np.all(np.isfinite(self.sensors)):
             raise ValueError("sensor positions must be finite")
         if not 0.0 < self.wavelength < math.inf:
@@ -286,7 +294,7 @@ class HelmholtzForward(_ForwardModel):
                                       cfg.levels)
         self.f_ext = embed_potential(self.f, self.eg)
         eta_sq = scene.eta_b**2 + self.f_ext / k0**2
-        self.op = assemble(self.eg, eta_sq, k0, cfg.beta)
+        self.op = assemble(self.eg, eta_sq, k0)
         # one level: the "cycle" is the exact coarsest solve of the whole
         # operator
         self.direct = self.eg.points_per_side**2 <= _DIRECT_MAX_UNKNOWNS

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class ExtendedGrid2D:
     abl_points: int
     abl_strength: float
     pad: int = 0
-    levels: int = field(default=1)
 
     def __post_init__(self):
         check_integer("abl_points", self.abl_points)
@@ -137,7 +136,7 @@ def build_extended_grid(inner: Grid2D, abl_points: int, beta: float,
         raise ValueError(
             f"{levels} levels leave a degenerate coarsest grid "
             f"({coarsest} points per side)")
-    return ExtendedGrid2D(inner, abl_points, beta, pad, levels)
+    return ExtendedGrid2D(inner, abl_points, beta, pad)
 
 
 def embed_potential(f: np.ndarray, eg: ExtendedGrid2D) -> np.ndarray:

@@ -12,7 +12,7 @@ so alpha = 1 on the region of interest and 1 - j*beta at the outer rim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy import sparse
@@ -20,69 +20,44 @@ from scipy import sparse
 from .grid import ExtendedGrid2D
 
 
-@dataclass(frozen=True)
-class LevelGeometry:
-    """Geometry of one discretization level of the extended domain."""
-
-    side: int
-    mesh: float
-    origin: tuple[float, float]
-    roi_lo: tuple[float, float]
-    roi_hi: tuple[float, float]
-    abl_thickness: float
-
-    @classmethod
-    def from_extended_grid(cls, eg: ExtendedGrid2D) -> "LevelGeometry":
-        lo, hi = eg.roi_box
-        return cls(eg.points_per_side, eg.h, eg.origin, lo, hi,
-                   eg.abl_thickness)
-
-    def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        ax = self.origin[0] + self.mesh * np.arange(self.side)
-        ay = self.origin[1] + self.mesh * np.arange(self.side)
-        return np.meshgrid(ax, ay, indexing="ij")
-
-    def roi_distance(self) -> np.ndarray:
-        """Distance of each grid point to the region-of-interest box."""
-        x, y = self.coords()
-        dx = np.maximum(np.maximum(self.roi_lo[0] - x, x - self.roi_hi[0]), 0.0)
-        dy = np.maximum(np.maximum(self.roi_lo[1] - y, y - self.roi_hi[1]), 0.0)
-        return np.hypot(dx, dy)
-
-    def coarsen(self) -> "LevelGeometry":
-        if self.side % 2 == 0 or self.side < 5:
-            raise ValueError("cannot coarsen this level")
-        return LevelGeometry((self.side + 1) // 2, 2.0 * self.mesh,
-                             self.origin, self.roi_lo, self.roi_hi,
-                             self.abl_thickness)
-
-
-def abl_profile(geom: LevelGeometry, beta: float) -> np.ndarray:
-    """Complex damping field alpha on a level."""
+def abl_profile(eg: ExtendedGrid2D) -> np.ndarray:
+    """Complex damping field alpha on the extended grid, from its ABL
+    strength beta and layer thickness.  The distance to the region of
+    interest is the hypot of one 1-D distance per axis."""
+    s = eg.points_per_side
+    beta = eg.abl_strength
     if beta == 0.0:
-        return np.ones((geom.side, geom.side), dtype=complex)
-    if geom.abl_thickness <= 0.0:
+        return np.ones((s, s), dtype=complex)
+    if eg.abl_thickness <= 0.0:
         raise ValueError("beta > 0 requires a nonempty absorbing layer")
-    d = geom.roi_distance() / geom.abl_thickness
+    lo, hi = eg.roi_box
+    dist = []
+    for axis in (0, 1):
+        x = eg.origin[axis] + eg.h * np.arange(s)
+        dist.append(np.maximum(np.maximum(lo[axis] - x, x - hi[axis]), 0.0))
+    d = np.hypot(dist[0][:, None], dist[1]) / eg.abl_thickness
     return 1.0 - 1j * beta * d**2
 
 
 class HelmholtzOperator:
-    """Stencil form of -laplacian - alpha*k0^2*eta^2 on one level."""
+    """Stencil form of -laplacian - alpha*k0^2*eta^2 on one level of mesh
+    size ``h``, whose side is that of the square ``eta_sq``."""
 
-    def __init__(self, geom: LevelGeometry, eta_sq: np.ndarray, k0: float,
-                 beta: float):
-        s = geom.side
-        if eta_sq.shape != (s, s):
-            raise ValueError("eta_sq shape does not match level geometry")
-        if np.min(eta_sq) <= 0.0:
-            raise ValueError("eta^2 must be strictly positive")
-        self.geom = geom
-        self.eta_sq = np.asarray(eta_sq, dtype=float)
+    def __init__(self, h: float, eta_sq: np.ndarray, alpha: np.ndarray,
+                 k0: float):
+        eta_sq = np.asarray(eta_sq, dtype=float)
+        if eta_sq.ndim != 2 or eta_sq.shape[0] != eta_sq.shape[1]:
+            raise ValueError("eta_sq must be a square field")
+        if not (0.0 < eta_sq.min() and eta_sq.max() < math.inf):
+            raise ValueError("eta^2 must be positive and finite")
+        if np.shape(alpha) != eta_sq.shape:
+            raise ValueError("alpha shape does not match eta_sq")
+        if not (0.0 < h < math.inf and 0.0 < k0 < math.inf):
+            raise ValueError("h and k0 must be positive and finite")
+        self.eta_sq = eta_sq
         self.k0 = k0
-        self.beta = beta
-        self.h = geom.mesh
-        self.alpha = abl_profile(geom, beta)
+        self.h = h
+        self.alpha = alpha
 
         h2 = self.h**2
         # Sommerfeld fold: the missing neighbor contributes
@@ -101,7 +76,7 @@ class HelmholtzOperator:
 
     @property
     def side(self) -> int:
-        return self.geom.side
+        return self.eta_sq.shape[0]
 
     def _check(self, u: np.ndarray):
         s = self.side
@@ -177,8 +152,7 @@ class HelmholtzOperator:
         return A
 
 
-def assemble(eg: ExtendedGrid2D, eta_sq: np.ndarray, k0: float,
-             beta: float) -> HelmholtzOperator:
+def assemble(eg: ExtendedGrid2D, eta_sq: np.ndarray, k0: float
+             ) -> HelmholtzOperator:
     """Build the finest-level operator for an extended grid."""
-    return HelmholtzOperator(LevelGeometry.from_extended_grid(eg), eta_sq,
-                             k0, beta)
+    return HelmholtzOperator(eg.h, eta_sq, abl_profile(eg), k0)

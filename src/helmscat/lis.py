@@ -56,18 +56,21 @@ def _singular_cell_integral(k: float, h: float) -> complex:
 
 @dataclass
 class GreenKernel:
-    """Discretized Green's kernel with the quadrature weight h^2 folded in.
+    """Discretized Green's kernel with the quadrature weight h^2 folded in,
+    for fields on an s-by-s grid.
 
     ``quadrant`` (read-only) holds the kernel at the (s+1)^2 distinct
     |offsets|; ``spectrum`` is the FFT of the kernel on the padded grid,
     whose side is the padded length of :func:`apply_green_convolution`."""
 
-    grid: Grid2D
-    k0: float
-    eta_b: float
     spectrum: np.ndarray
     singular_value: complex
     quadrant: np.ndarray
+
+    @property
+    def side(self) -> int:
+        """Points per side s of the grid the kernel convolves on."""
+        return self.quadrant.shape[0] - 1
 
 
 def _mirrored_spectrum(quadrant: np.ndarray, length: int) -> np.ndarray:
@@ -100,18 +103,15 @@ def sample_green_kernel(grid: Grid2D, k0: float, eta_b: float) -> GreenKernel:
     g0 = _singular_cell_integral(k, h)
     quadrant[0, 0] = g0
     quadrant.flags.writeable = False
-    return GreenKernel(grid, k0, eta_b, _mirrored_spectrum(quadrant, 2 * s),
-                       g0, quadrant)
+    return GreenKernel(_mirrored_spectrum(quadrant, 2 * s), g0, quadrant)
 
 
 def _window_kernel(kernel: GreenKernel, n: int) -> GreenKernel:
     """The kernel of an n-by-n window of the grid, from the samples of
     ``kernel``, padded to ``next_fast_len(2n - 1)``: the first length with
     only small prime factors at or above the 2n - 1 that keeps the
-    convolution aperiodic.  Of its grid only the side is read."""
-    g = kernel.grid
+    convolution aperiodic."""
     return GreenKernel(
-        Grid2D(n, (n - 1) * g.h, g.origin), kernel.k0, kernel.eta_b,
         _mirrored_spectrum(kernel.quadrant, fft.next_fast_len(2 * n - 1)),
         kernel.singular_value, kernel.quadrant[:n + 1, :n + 1])
 
@@ -124,7 +124,7 @@ def apply_green_convolution(kernel: GreenKernel, w: np.ndarray) -> np.ndarray:
     the s nonzero columns only, and the inverse pass along axis 0 on the s
     kept columns only, so no padded copy of ``w`` is made.  The result
     owns its data: keeping it does not keep the padded buffer."""
-    s = kernel.grid.points_per_side
+    s = kernel.side
     if w.shape != (s, s):
         raise ValueError(f"field shape {w.shape} does not match grid {s}")
     length = kernel.spectrum.shape[0]
@@ -173,7 +173,7 @@ def solve_lis(kernel: GreenKernel, f: np.ndarray, u_in: np.ndarray,
     solve stops at ||r_B|| <= tol * ||u_in||, the full solve's own test.
     A window as large as the grid is solved on the grid directly, and
     ``f = 0`` returns ``u_in`` with no iteration."""
-    s = kernel.grid.points_per_side
+    s = kernel.side
     if f.shape != (s, s) or u_in.shape != (s, s):
         raise ValueError("f and u_in must live on the kernel grid")
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(u_in))):

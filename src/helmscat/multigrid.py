@@ -122,16 +122,19 @@ def prolong_bilinear(e_coarse: np.ndarray, *,
 def coarsen_operator(fine_op: HelmholtzOperator) -> HelmholtzOperator:
     """Rediscretize at double mesh size: the Laplacian is rebuilt at 2h, the
     squared-index field is transferred by full weighting with its boundary
-    ring reset to the background value, and the ABL profile is recomputed
-    from the coarse geometry."""
-    geom_c = fine_op.geom.coarsen()
+    ring reset to the background value, and the ABL profile is sampled at
+    the coarse points, the even-indexed fine points."""
+    if fine_op.side < 5:
+        raise ValueError("cannot coarsen a level of fewer than 5 points "
+                         "per side")
     eta_sq_c = restrict_full_weighting(fine_op.eta_sq)
     background = fine_op.eta_sq[0, 0]
     eta_sq_c[0, :] = background
     eta_sq_c[-1, :] = background
     eta_sq_c[:, 0] = background
     eta_sq_c[:, -1] = background
-    return HelmholtzOperator(geom_c, eta_sq_c, fine_op.k0, fine_op.beta)
+    return HelmholtzOperator(2.0 * fine_op.h, eta_sq_c,
+                             fine_op.alpha[::2, ::2], fine_op.k0)
 
 
 @dataclass
@@ -172,10 +175,11 @@ class LevelWork:
 
 
 class MgHierarchy:
-    """Per-level operators plus smoothing/cycling configuration, and the
-    work arrays of each smoothing level (see :meth:`work`).  The work
-    arrays are shared by every cycle, so a hierarchy runs one cycle at a
-    time."""
+    """Per-level operators plus smoothing/cycling configuration, and
+    ``work``, the :class:`LevelWork` of each level but the coarsest (none
+    for a one-level, direct hierarchy; 3.5 MiB for the 3-level set at
+    321^2).  The work arrays are shared by every cycle, so a hierarchy
+    runs one cycle at a time."""
 
     def __init__(self, fine_op: HelmholtzOperator, n_levels: int,
                  nu1: int = 1, nu2: int = 1, omega: float = 0.8,
@@ -209,19 +213,8 @@ class MgHierarchy:
                                permc_spec="MMD_AT_PLUS_A", panel_size=4,
                                relax=1)
         self.meter = WorkUnitMeter()
-        self._work: list[LevelWork | None] = [None] * (n_levels - 1)
-
-    def work(self, level: int) -> LevelWork:
-        """The :class:`LevelWork` of smoothing level ``level`` (any level
-        but the coarsest), allocated on its first cycle: a one-level
-        (direct) hierarchy never holds any.  At 321^2 the finest level's
-        arrays take 2.8 MiB and the whole 3-level set 3.5 MiB."""
-        w = self._work[level]
-        if w is None:
-            w = LevelWork(self.levels[level].side,
-                          self.levels[level + 1].side)
-            self._work[level] = w
-        return w
+        self.work = [LevelWork(fine.side, coarse.side)
+                     for fine, coarse in zip(self.levels, self.levels[1:])]
 
     def coarsest_solve(self, b: np.ndarray) -> np.ndarray:
         """Exact solve on the coarsest level, for one field or a stack of
@@ -247,13 +240,12 @@ def mg_cycle(hier: MgHierarchy, b: np.ndarray, v0: np.ndarray | None,
 
     The result is the only array the cycle allocates, and it is never a
     work array; ``b`` and ``v0`` are read only.  Residual, restriction and
-    correction live in the level's work arrays (see
-    :meth:`MgHierarchy.work`), and the smoothers update the result in
-    place."""
+    correction live in the level's work arrays, ``hier.work[level]``, and
+    the smoothers update the result in place."""
     op = hier.levels[level]
     if level == len(hier.levels) - 1:
         return hier.coarsest_solve(b)
-    w = hier.work(level)
+    w = hier.work[level]
     v = damped_jacobi(op, b, v0, hier.omega, hier.nu1, scratch=w.t)
     hier.meter.record(level, hier.nu1)
     r = op.apply(v, out=w.t)

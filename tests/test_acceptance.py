@@ -236,7 +236,7 @@ def test_criterion_5_multigrid_algebra():
     g = hs.Grid2D(33, 32.0, (-16.0, -16.0))
     eg = hs.build_extended_grid(g, 4, 0.15, 3)
     se = eg.points_per_side
-    op = hs.assemble(eg, np.ones((se, se)), K0, 0.15)
+    op = hs.assemble(eg, np.ones((se, se)), K0)
     hier = hs.MgHierarchy(op, 3, nu1=1, nu2=1)
     b = np.ones((se, se), dtype=complex)
     hs.mg_cycle(hier, b, np.zeros_like(b))

@@ -74,3 +74,31 @@ def test_tag_readers_match_signatures():
         assert all(p.kind is inspect.Parameter.KEYWORD_ONLY
                    for p in params[position + 1:]), fn.__name__
 
+
+
+def test_traced_sizes_of_operator_builds_and_sweeps():
+    # the size column is the side of the first grid argument: for an
+    # operator build it is read from eta_sq, for a Jacobi sweep from the
+    # operator; a 41^2, 3-level hierarchy has sides 41, 21 and 11
+    import warnings
+
+    import numpy as np
+
+    import helmscat as hs
+    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    eg = hs.build_extended_grid(hs.Grid2D(33, 16.0), 4, 0.15, 3)
+    se = eg.points_per_side
+    assert se == 41
+    tracer = tracing.Tracer()
+    with tracer.installed(), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        hier = hs.MgHierarchy(hs.assemble(eg, np.ones((se, se)), 0.5), 3)
+        hs.mg_cycle(hier, np.ones((se, se), dtype=complex), None)
+
+    def sizes(name):
+        return [s[tracing.SIZE] for s in tracer.spans
+                if s[tracing.NAME] == name]
+    assert sizes("helmholtz.operator_build") == [41, 21, 11]
+    assert set(sizes("multigrid.damped_jacobi")) == {41, 21}

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -342,6 +343,17 @@ def test_geometry_rejects_empty_counts(views, sensors):
 def test_geometry_rejects_active_count_out_of_range(active):
     with pytest.raises(ValueError, match="active sensor count"):
         hs.make_circular_geometry(2, 8, 40.0, 10.0, active_count=active)
+
+
+@pytest.mark.parametrize("field, bad, needle", [
+    ("active", lambda g: g.active.astype(np.int8), "must be boolean"),
+    ("directions", lambda g: g.directions[:, :1], "must have shape"),
+    ("u0", lambda g: complex(np.nan, 0.0), "u0 must be finite"),
+])
+def test_geometry_rejects_malformed_fields(field, bad, needle):
+    geom = hs.make_circular_geometry(2, 6, 40.0, 10.0, active_count=3)
+    with pytest.raises(ValueError, match=needle):
+        dataclasses.replace(geom, **{field: bad(geom)})
 
 
 def test_geometry_accepts_every_sensor_active():

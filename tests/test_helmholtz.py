@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helmscat import Grid2D, build_extended_grid, assemble
-from helmscat.helmholtz import HelmholtzOperator, LevelGeometry, abl_profile
+from helmscat import Grid2D, ExtendedGrid2D, build_extended_grid, assemble
+from helmscat.helmholtz import HelmholtzOperator, abl_profile
 
 
 def _setup(s=9, abl=3, beta=0.2, levels=1, side=8.0, k0=1.0,
@@ -13,16 +13,14 @@ def _setup(s=9, abl=3, beta=0.2, levels=1, side=8.0, k0=1.0,
     if eta_sq is None:
         rng = np.random.default_rng(seed)
         eta_sq = 1.0 + 0.3 * rng.random((se, se))
-    op = assemble(eg, eta_sq, k0, beta)
+    op = assemble(eg, eta_sq, k0)
     return eg, op
 
 
 def test_abl_profile_is_one_on_roi():
     eg, op = _setup()
-    geom = op.geom
-    alpha = abl_profile(geom, 0.2)
-    d = geom.roi_distance()
-    np.testing.assert_allclose(alpha[d == 0.0], 1.0)
+    alpha = abl_profile(eg)
+    np.testing.assert_allclose(alpha[eg.inner_slice], 1.0)
 
 
 def test_abl_profile_rim_value():
@@ -30,7 +28,7 @@ def test_abl_profile_rim_value():
     # thickness, so alpha = 1 - j*beta there
     beta = 0.2
     eg, op = _setup(beta=beta)
-    alpha = abl_profile(op.geom, beta)
+    alpha = abl_profile(eg)
     mid = eg.points_per_side // 2
     assert alpha[0, mid] == pytest.approx(1.0 - 1j * beta)
 
@@ -38,7 +36,7 @@ def test_abl_profile_rim_value():
 def test_abl_profile_quadratic():
     beta = 0.3
     eg, op = _setup(abl=4, beta=beta)
-    alpha = abl_profile(op.geom, beta)
+    alpha = abl_profile(eg)
     mid = eg.points_per_side // 2
     # one cell in from the rim: distance 3h of thickness 4h
     assert alpha[1, mid] == pytest.approx(1.0 - 1j * beta * (3.0 / 4.0) ** 2)
@@ -103,17 +101,36 @@ def test_eta_sq_must_be_positive():
     g = Grid2D(9, 8.0)
     eg = build_extended_grid(g, 2, 0.1, 1)
     se = eg.points_per_side
-    eta_sq = np.ones((se, se))
-    eta_sq[4, 4] = 0.0
-    with pytest.raises(ValueError):
-        assemble(eg, eta_sq, 1.0, 0.1)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        eta_sq = np.ones((se, se))
+        eta_sq[4, 4] = bad
+        with pytest.raises(ValueError, match="eta\\^2 must be positive"):
+            assemble(eg, eta_sq, 1.0)
+
+
+@pytest.mark.parametrize("h, k0", [(0.5, np.nan), (0.5, -1.0), (0.5, 0.0),
+                                   (0.5, np.inf), (np.nan, 1.0), (0.0, 1.0),
+                                   (-0.5, 1.0), (np.inf, 1.0)])
+def test_mesh_and_wavenumber_must_be_positive_and_finite(h, k0):
+    with pytest.raises(ValueError, match="h and k0 must be positive"):
+        HelmholtzOperator(h, np.ones((5, 5)), np.ones((5, 5)), k0)
+
+
+@pytest.mark.parametrize("eta_shape, alpha_shape, needle", [
+    ((5, 6), (5, 6), "square"), ((25,), (25,), "square"),
+    ((5, 5), (7, 7), "alpha shape"), ((5, 5), (5,), "alpha shape")])
+def test_field_shapes_rejected(eta_shape, alpha_shape, needle):
+    with pytest.raises(ValueError, match=needle):
+        HelmholtzOperator(0.5, np.ones(eta_shape), np.ones(alpha_shape), 1.0)
 
 
 def test_beta_without_layer_rejected():
-    g = Grid2D(9, 8.0)
-    geom = LevelGeometry(9, 1.0, (0.0, 0.0), (0.0, 0.0), (8.0, 8.0), 0.0)
-    with pytest.raises(ValueError):
-        abl_profile(geom, 0.1)
+    eg = ExtendedGrid2D(Grid2D(9, 8.0), 0, 0.1)
+    assert eg.abl_thickness == 0.0
+    with pytest.raises(ValueError, match="nonempty absorbing layer"):
+        abl_profile(eg)
+    with pytest.raises(ValueError, match="nonempty absorbing layer"):
+        assemble(eg, np.ones((9, 9)), 1.0)
 
 
 def test_shape_mismatch_rejected():
@@ -144,9 +161,8 @@ def _dyadic_operator(s):
     # h = 1/2, k0 = 1/2, eta^2 = 1, beta = 0: every diagonal entry, h^2 and
     # 1/h^2 are short binary fractions, so integer-valued fields are
     # multiplied and summed without rounding in any order
-    geom = LevelGeometry(s, 0.5, (0.0, 0.0), (0.0, 0.0),
-                         (0.5 * (s - 1),) * 2, 0.0)
-    return HelmholtzOperator(geom, np.ones((s, s)), 0.5, 0.0)
+    return HelmholtzOperator(0.5, np.ones((s, s)),
+                             np.ones((s, s), dtype=complex), 0.5)
 
 
 @pytest.mark.parametrize("s", [5, 17, 65])

@@ -247,7 +247,7 @@ def test_multigrid_preconditioned_bit_identical_to_textbook_loop():
     eg = build_extended_grid(g, 4, 0.15, 2)
     se = eg.points_per_side
     rng = np.random.default_rng(7)
-    op = assemble(eg, 1.0 + 0.1 * rng.random((se, se)), 0.5, 0.15)
+    op = assemble(eg, 1.0 + 0.1 * rng.random((se, se)), 0.5)
     hier = MgHierarchy(op, 2)
     b = rng.standard_normal((se, se)) + 1j * rng.standard_normal((se, se))
     report = _assert_matches_textbook(op.apply, b,

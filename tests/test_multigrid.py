@@ -8,7 +8,7 @@ from helmscat import (Grid2D, build_extended_grid, assemble, MgHierarchy,
                       WorkUnitMeter, damped_jacobi, restrict_full_weighting,
                       prolong_bilinear, coarsen_operator, mg_cycle,
                       lfa_symbols, bicgstab, dense_reference_solve)
-from helmscat.helmholtz import HelmholtzOperator, LevelGeometry
+from helmscat.helmholtz import HelmholtzOperator
 
 
 def _operator(s=17, beta=0.15, abl=4, levels=2, k0=1.5, seed=0):
@@ -17,7 +17,7 @@ def _operator(s=17, beta=0.15, abl=4, levels=2, k0=1.5, seed=0):
     se = eg.points_per_side
     rng = np.random.default_rng(seed)
     eta_sq = 1.0 + 0.1 * rng.random((se, se))
-    return eg, assemble(eg, eta_sq, k0, beta)
+    return eg, assemble(eg, eta_sq, k0)
 
 
 def test_transfer_adjoint_relation():
@@ -233,8 +233,8 @@ def test_mg_cycle_zero_guess_matches_zero_array(cycle_type):
 
 def _zero_diagonal_operator():
     # h = 1, eta^2 = 1, k0 = 2, beta = 0: interior diagonal 4/h^2 - k0^2 = 0
-    geom = LevelGeometry(5, 1.0, (0.0, 0.0), (0.0, 0.0), (4.0, 4.0), 0.0)
-    return HelmholtzOperator(geom, np.ones((5, 5)), 2.0, 0.0)
+    return HelmholtzOperator(1.0, np.ones((5, 5)),
+                             np.ones((5, 5), dtype=complex), 2.0)
 
 
 @pytest.mark.parametrize("v", [None, "zeros"])
@@ -268,7 +268,7 @@ def test_coarsest_solve_accurate_at_high_contrast():
     eta_sq = np.where(np.hypot(xx, yy) <= 12.5, 5.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        hier = MgHierarchy(assemble(eg, eta_sq, 2.0 * np.pi / 10.0, 0.15), 3)
+        hier = MgHierarchy(assemble(eg, eta_sq, 2.0 * np.pi / 10.0), 3)
     coarsest = hier.levels[-1]
     assert coarsest.side == 81
     rng = np.random.default_rng(4)
@@ -302,7 +302,7 @@ def test_preconditioner_results_are_separate_arrays(levels):
     np.testing.assert_array_equal(b2, b2_before)
     # no result is one of the hierarchy's work arrays
     for level in range(levels - 1):
-        w = hier.work(level)
+        w = hier.work[level]
         for a in (w.t, w.rows, w.r_c):
             assert not np.shares_memory(a, y1)
             assert not np.shares_memory(a, y2)
@@ -404,3 +404,59 @@ def test_transfers_write_every_entry_of_out():
     assert prolong_bilinear(e, out=fine) is fine
     np.testing.assert_array_equal(fine, prolong_bilinear(e))
     np.testing.assert_allclose(fine, _reference_prolong(e), rtol=1e-14)
+
+
+def _reference_level(eg, eta_sq, k0, p):
+    """alpha and diagonal of level p rebuilt from that level's own
+    coordinates, mesh 2^p h: the ROI distance on the level's meshgrid,
+    the ABL profile, then the Sommerfeld-folded diagonal."""
+    h = 2**p * eg.h
+    side = eta_sq.shape[0]
+    ax = eg.origin[0] + h * np.arange(side)
+    ay = eg.origin[1] + h * np.arange(side)
+    x, y = np.meshgrid(ax, ay, indexing="ij")
+    lo, hi = eg.roi_box
+    dx = np.maximum(np.maximum(lo[0] - x, x - hi[0]), 0.0)
+    dy = np.maximum(np.maximum(lo[1] - y, y - hi[1]), 0.0)
+    if eg.abl_strength == 0.0:
+        alpha = np.ones((side, side), dtype=complex)
+    else:
+        d = np.hypot(dx, dy) / eg.abl_thickness
+        alpha = 1.0 - 1j * eg.abl_strength * d**2
+    h2 = h**2
+    k_eta = k0 * np.sqrt(eta_sq)
+    diag = (4.0 / h2 - alpha * k0**2 * eta_sq).astype(complex)
+    diag[0, :] -= (1.0 + 1j * h * k_eta[0, :]) / h2
+    diag[-1, :] -= (1.0 + 1j * h * k_eta[-1, :]) / h2
+    diag[:, 0] -= (1.0 + 1j * h * k_eta[:, 0]) / h2
+    diag[:, -1] -= (1.0 + 1j * h * k_eta[:, -1]) / h2
+    return alpha, diag
+
+
+@pytest.mark.parametrize("inner, abl, levels, pad", [
+    # the 256^2 benchmark geometry: 321^2 extended, 3 levels
+    (Grid2D(256, 31.875, (-15.9375, -15.9375)), 32, 3, 1),
+    # non-dyadic mesh 7.3/10, no layer on the low sides, 2 pad cells high
+    (Grid2D(11, 7.3, (-3.65, -3.65)), 0, 3, 2)],
+    ids=["321^2 benchmark", "side 7.3 pad 2"])
+def test_coarse_levels_match_per_level_construction(inner, abl, levels, pad):
+    eg = build_extended_grid(inner, abl, 0.15, levels)
+    assert eg.pad == pad
+    se = eg.points_per_side
+    k0 = 2.0 * np.pi / 10.0
+    x = (np.arange(se) - se // 2) * eg.h
+    eta_sq = np.where(np.hypot(x[:, None], x) <= 0.4 * se * eg.h, 2.0, 1.0)
+    ops = [assemble(eg, eta_sq, k0)]
+    for _ in range(levels - 1):
+        ops.append(coarsen_operator(ops[-1]))
+    for p, op in enumerate(ops):
+        alpha, diag = _reference_level(eg, op.eta_sq, k0, p)
+        np.testing.assert_array_equal(op.alpha, alpha)
+        np.testing.assert_array_equal(op.diagonal(), diag)
+        assert op.h == 2**p * eg.h
+
+
+def test_coarsen_operator_rejects_small_level():
+    op = HelmholtzOperator(1.0, np.ones((3, 3)), np.ones((3, 3)), 1.0)
+    with pytest.raises(ValueError, match="cannot coarsen"):
+        coarsen_operator(op)

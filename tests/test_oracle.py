@@ -91,7 +91,7 @@ def test_dense_reference_residual():
     se = eg.points_per_side
     rng = np.random.default_rng(0)
     eta_sq = 1.0 + 0.2 * rng.random((se, se))
-    op = assemble(eg, eta_sq, 1.0, 0.1)
+    op = assemble(eg, eta_sq, 1.0)
     b = rng.standard_normal((se, se)) + 1j * rng.standard_normal((se, se))
     x = dense_reference_solve(op, b)
     assert np.linalg.norm(op.apply(x) - b) < 1e-10 * np.linalg.norm(b)
@@ -100,7 +100,7 @@ def test_dense_reference_residual():
 def test_dense_reference_size_cap():
     g = Grid2D(43, 42.0)
     eg = build_extended_grid(g, 0, 0.0, 1)
-    op = assemble(eg, np.ones((43, 43)), 1.0, 0.0)
+    op = assemble(eg, np.ones((43, 43)), 1.0)
     with pytest.raises(ValueError):
         dense_reference_solve(op, np.zeros((43, 43), dtype=complex))
 

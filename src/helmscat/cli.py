@@ -1,7 +1,9 @@
 """Command-line front end: `helmscat simulate|reconstruct|bench`.
 
 All outputs are deterministic for a fixed seed; wall-clock timing columns
-are written as 0.0 unless --wall-time is passed.
+are written as 0.0 unless --wall-time is passed.  Each command computes
+first and then writes each output to ``out(name)``, which records the path
+in ``out_dir``; a failed run removes the paths it recorded and nothing else.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .forward import (HelmholtzForward, LisForward, ScatteringScene,
 from .grid import Grid2D
 from .inverse import (ReconstructionConfig, eta_from_potential,
                       reconstruct_fbs)
-from .krylov import BicgstabBreakdown
 from .oracle import DiskScene, analytic_disk_field, relative_error
 
 
@@ -111,7 +112,7 @@ def _potential(eta: np.ndarray, eta_b: float, k0: float) -> np.ndarray:
     return k0**2 * (eta**2 - eta_b**2)
 
 
-def cmd_simulate(cfg, out_dir: Path, wall_time: bool) -> list[Path]:
+def cmd_simulate(cfg, out, wall_time: bool):
     scene = _build_scene(cfg)
     solver = _solver_config(cfg)
     eta = _build_eta(cfg, scene.grid)
@@ -133,16 +134,13 @@ def cmd_simulate(cfg, out_dir: Path, wall_time: bool) -> list[Path]:
                      float(report.residual_history[-1]
                            / max(report.residual_history[0], 1e-300)),
                      float(report.work_units), elapsed])
-    meas_path = out_dir / "measurements.csv"
-    rep_path = out_dir / "reports.csv"
-    io.write_measurements_csv(meas_path, scene.geometry, views)
-    io.write_rows_csv(rep_path,
+    io.write_measurements_csv(out("measurements.csv"), scene.geometry, views)
+    io.write_rows_csv(out("reports.csv"),
                       ["view", "iterations", "converged", "final_rel_residual",
                        "work_units", "seconds"], rows)
-    return [meas_path, rep_path]
 
 
-def cmd_reconstruct(cfg, out_dir: Path, wall_time: bool) -> list[Path]:
+def cmd_reconstruct(cfg, out, wall_time: bool):
     scene = _build_scene(cfg)
     solver = _solver_config(cfg)
     if cfg.subset_size < 0:
@@ -169,11 +167,6 @@ def cmd_reconstruct(cfg, out_dir: Path, wall_time: bool) -> list[Path]:
         f_star, history = reconstruct_fbs(measurements, scene, rcfg,
                                           eta_true=eta_true)
     eta_star = eta_from_potential(f_star, cfg.eta_b, scene.k0)
-    eta_path = out_dir / "eta.hsf"
-    f_path = out_dir / "f.hsf"
-    hist_path = out_dir / "history.csv"
-    io.write_field(eta_path, eta_star)
-    io.write_field(f_path, f_star)
     rows = []
     if history is not None:
         for i in range(len(history.objective)):
@@ -181,13 +174,14 @@ def cmd_reconstruct(cfg, out_dir: Path, wall_time: bool) -> list[Path]:
             rows.append([i + 1, history.objective[i], snr_val,
                          history.work_units[i],
                          history.seconds[i] if wall_time else 0.0])
-    io.write_rows_csv(hist_path,
+    io.write_field(out("eta.hsf"), eta_star)
+    io.write_field(out("f.hsf"), f_star)
+    io.write_rows_csv(out("history.csv"),
                       ["iter", "objective", "snr_db", "work_units", "seconds"],
                       rows)
-    return [eta_path, f_path, hist_path]
 
 
-def cmd_bench(cfg, out_dir: Path, wall_time: bool) -> list[Path]:
+def cmd_bench(cfg, out, wall_time: bool):
     contrasts = io.parse_float_list(cfg.contrast_list) or [0.0]
     if not all(-1.0 < c < np.inf for c in contrasts):
         raise io.ConfigError(f"contrast_list {cfg.contrast_list!r}: each "
@@ -228,11 +222,9 @@ def cmd_bench(cfg, out_dir: Path, wall_time: bool) -> list[Path]:
                 elapsed = time.perf_counter() - t0 if wall_time else 0.0
                 rows.append([contrast, radius_l, model, report.iterations,
                              elapsed, err])
-    path = out_dir / "bench.csv"
-    io.write_rows_csv(path, ["contrast", "radius_lambda", "model",
-                             "iterations", "wall_seconds",
-                             "relative_error_vs_analytic"], rows)
-    return [path]
+    io.write_rows_csv(out("bench.csv"),
+                      ["contrast", "radius_lambda", "model", "iterations",
+                       "wall_seconds", "relative_error_vs_analytic"], rows)
 
 
 _COMMANDS = {"simulate": cmd_simulate, "reconstruct": cmd_reconstruct,
@@ -258,38 +250,31 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out_dir)
-    written: list[Path] = []
+    begun: list[Path] = []
+
+    def out(name: str) -> Path:
+        begun.append(out_dir / name)
+        return begun[-1]
+
     try:
         cfg = io.parse_config(args.config, args.command)
         if args.seed is not None:
-            cfg.values["seed"] = args.seed
+            cfg.seed = args.seed
         out_dir.mkdir(parents=True, exist_ok=True)
-        written = _COMMANDS[args.command](cfg, out_dir, args.wall_time)
-    except (io.ConfigError, FileNotFoundError, ValueError) as exc:
+        _COMMANDS[args.command](cfg, out, args.wall_time)
+        return 0
+    except (ValueError, OSError) as exc:     # ConfigError, FileNotFoundError
         print(f"error: {exc}", file=sys.stderr)
-        _cleanup(written, out_dir, args.command)
-        return 2
-    except (SolverFailure, BicgstabBreakdown, RuntimeError) as exc:
+        code = 2
+    except RuntimeError as exc:              # SolverFailure, BicgstabBreakdown
         print(f"solver failure: {exc}", file=sys.stderr)
-        _cleanup(written, out_dir, args.command)
-        return 3
-    return 0
-
-
-_OUTPUTS = {
-    "simulate": ["measurements.csv", "reports.csv"],
-    "reconstruct": ["eta.hsf", "f.hsf", "history.csv"],
-    "bench": ["bench.csv"],
-}
-
-
-def _cleanup(written: list[Path], out_dir: Path, command: str):
-    candidates = set(written) | {out_dir / name for name in _OUTPUTS[command]}
-    for path in candidates:
+        code = 3
+    for path in begun:  # a directory, or a path we may not remove, stays
         try:
             path.unlink(missing_ok=True)
         except OSError:
             pass
+    return code
 
 
 if __name__ == "__main__":

@@ -49,6 +49,9 @@ class AcquisitionGeometry:
                              f"got {d.shape}")
         if not np.allclose(np.hypot(d[:, 0], d[:, 1]), 1.0, atol=1e-12):
             raise ValueError("directions must be unit vectors")
+        if self.sensors.ndim != 2 or self.sensors.shape[1] != 2:
+            raise ValueError(f"sensors must have shape (M, 2), "
+                             f"got {self.sensors.shape}")
         if self.active.dtype != bool:
             raise ValueError(f"active mask must be boolean, got "
                              f"{self.active.dtype}")
@@ -134,6 +137,11 @@ class ScatteringScene:
     @property
     def k0(self) -> float:
         return self.geometry.k0
+
+    def eta_sq_nonpositive(self, f: np.ndarray) -> bool:
+        """Whether the potential ``f`` puts eta^2 = eta_b^2 + f / k0^2
+        below 0 somewhere: no forward model is defined there."""
+        return bool(np.min(f) < -self.k0**2 * self.eta_b**2)
 
     @cached_property
     def sensor_operator(self) -> np.ndarray:
@@ -288,7 +296,7 @@ class HelmholtzForward(_ForwardModel):
                  cfg: SolverConfig):
         super().__init__(scene, f, cfg)
         k0 = scene.k0
-        if np.min(self.f) < -k0**2 * scene.eta_b**2:
+        if scene.eta_sq_nonpositive(self.f):
             raise ValueError("f would make eta^2 nonpositive")
         self.eg = build_extended_grid(scene.grid, cfg.abl_points, cfg.beta,
                                       cfg.levels)

@@ -212,7 +212,11 @@ def reconstruct_fbs(measurements, scene: ScatteringScene,
     # adjoint solutions are good initial guesses
     warm = {}
     work = 0.0
-    for _ in range(config.iterations):
+    for it in range(1, config.iterations + 1):
+        if scene.eta_sq_nonpositive(f_bar):
+            raise ValueError(f"iteration {it}: the extrapolated potential "
+                             f"makes eta^2 nonpositive (gamma = "
+                             f"{config.gamma} may be too large)")
         subset = select_subset(rng, num_views, config.subset_size)
         grad, fidelity, wu = gradient_data_fidelity(
             scene, f_bar, subset, measurements, config.solver, warm=warm)

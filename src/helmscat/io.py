@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,18 +55,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    values: dict
-
-    def __getattr__(self, name):
-        try:
-            return self.values[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-
-def parse_config(path: str | Path, command: str) -> RunConfig:
+def parse_config(path: str | Path, command: str) -> SimpleNamespace:
     """Parse a flat key=value document; unknown keys, non-finite floats and
     missing keys that ``command`` requires are rejected."""
     values = {}
@@ -98,7 +87,7 @@ def parse_config(path: str | Path, command: str) -> RunConfig:
         if command in required_by:
             raise ConfigError(f"missing required key {key!r}")
         values[key] = default
-    return RunConfig(values)
+    return SimpleNamespace(**values)
 
 
 def parse_float_list(text: str) -> list[float]:

@@ -67,6 +67,7 @@ def _disk_potential(grid, radius, eta_disk, eta_b=1.0):
                     K0 ** 2 * (eta_disk ** 2 - eta_b ** 2), 0.0)
 
 
+@pytest.mark.slow
 def test_criterion_1_forward_accuracy(fig4_grid, fig4_kernel):
     """High-contrast disk: both forward models vs the analytic series."""
     eta_disk, radius = 2.2, 1.25 * LAM
@@ -93,6 +94,7 @@ def test_criterion_1_forward_accuracy(fig4_grid, fig4_kernel):
                f"grid err {err_mgh:.2e}, integral err {err_lis:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_2_contrast_robustness(fig4_grid, fig4_kernel):
     """Iteration counts across contrasts 1..4 of the permittivity."""
     radius = 1.25 * LAM
@@ -280,6 +282,7 @@ def test_criterion_6_tv_prox():
                f"objective gap {gap:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_7_reconstruction(fig4_grid):
     """Inverse-crime disk: data at 256^2, reconstruction at 64^2."""
     eta_disk, radius = 1.1, 6.0

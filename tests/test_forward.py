@@ -349,6 +349,9 @@ def test_geometry_rejects_active_count_out_of_range(active):
     ("active", lambda g: g.active.astype(np.int8), "must be boolean"),
     ("directions", lambda g: g.directions[:, :1], "must have shape"),
     ("u0", lambda g: complex(np.nan, 0.0), "u0 must be finite"),
+    ("sensors", lambda g: np.zeros((6, 3)), r"\(M, 2\), got \(6, 3\)"),
+    ("sensors", lambda g: g.sensors[:, :1], r"\(M, 2\), got \(6, 1\)"),
+    ("sensors", lambda g: g.sensors[:, 0], r"\(M, 2\), got \(6,\)"),
 ])
 def test_geometry_rejects_malformed_fields(field, bad, needle):
     geom = hs.make_circular_geometry(2, 6, 40.0, 10.0, active_count=3)

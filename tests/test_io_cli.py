@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -596,3 +597,76 @@ def test_ground_truth_checked_before_any_solve(tmp_path, capsys, monkeypatch,
     _assert_input_error(capsys, ["reconstruct", "--config", str(rec),
                                  "--out-dir", str(rout)], needle)
     assert not (rout / "history.csv").exists()
+
+
+def test_reconstruct_names_a_step_that_leaves_the_physical_range(tmp_path,
+                                                                 capsys):
+    # a step this large overshoots: the extrapolated point of a later
+    # iteration falls below -k0^2 eta_b^2
+    sim = _write(tmp_path, SIM)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(sim),
+                 "--out-dir", str(out)]) == 0
+    rec = _reconstruct_cfg(tmp_path, out / "measurements.csv", 10)
+    rec.write_text(rec.read_text().replace("gamma = 0.05", "gamma = 30.0"))
+    rout = tmp_path / "rout"
+    _assert_input_error(capsys, ["reconstruct", "--config", str(rec),
+                                 "--out-dir", str(rout)],
+                        "the extrapolated potential makes eta^2 nonpositive "
+                        "(gamma = 30.0 may be too large)")
+    assert not (rout / "eta.hsf").exists()
+
+
+# ---------- unusable paths, and what a failed run removes ----------
+
+def _simulate(tmp_path, text=SIM):
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(_write(tmp_path, text)),
+            "--out-dir", str(out)]
+    return argv, out
+
+
+@pytest.mark.parametrize("kind", ["measurements_file", "scene_file",
+                                  "config"])
+def test_directory_as_input_file(tmp_path, capsys, kind):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if kind == "measurements_file":
+        argv = ["reconstruct", "--config",
+                str(_reconstruct_cfg(tmp_path, folder, 1)),
+                "--out-dir", str(tmp_path / "rout")]
+    elif kind == "scene_file":
+        argv, _ = _simulate(tmp_path, SIM.replace("scene = disk",
+                                                  "scene = file")
+                            + f"scene_file = {folder}\n")
+    else:
+        argv = ["simulate", "--config", str(folder),
+                "--out-dir", str(tmp_path / "out")]
+    _assert_input_error(capsys, argv, f"Is a directory: '{folder}'")
+
+
+def test_file_as_out_dir(tmp_path, capsys):
+    argv, out = _simulate(tmp_path)
+    out.write_text("not a directory\n")
+    _assert_input_error(capsys, argv, f"File exists: '{out}'")
+    assert out.read_text() == "not a directory\n"
+
+
+def test_failed_rerun_keeps_earlier_outputs(tmp_path, capsys):
+    argv, out = _simulate(tmp_path)
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["measurements.csv", "reports.csv"]
+    Path(argv[2]).write_text(SIM + "mystery = 3\n")
+    _assert_input_error(capsys, argv, "unknown key 'mystery'")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_failed_write_removes_only_what_it_began(tmp_path, capsys):
+    argv, out = _simulate(tmp_path)
+    (out / "reports.csv").mkdir(parents=True)
+    (out / "other.txt").write_text("kept\n")
+    _assert_input_error(capsys, argv, "Is a directory")
+    assert not (out / "measurements.csv").exists()
+    assert (out / "reports.csv").is_dir()
+    assert (out / "other.txt").read_text() == "kept\n"

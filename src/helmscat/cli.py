@@ -54,24 +54,6 @@ def _solver_config(cfg) -> SolverConfig:
                         tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
 
 
-def _parse_disk_list(text: str) -> list[tuple[float, float, float, float]]:
-    disks = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            vals = [float(tok) for tok in part.split(",")]
-        except ValueError:
-            vals = []
-        if len(vals) != 4 or not np.all(np.isfinite(vals)):
-            raise io.ConfigError(
-                f"phantom_disks entry {part!r} must be four finite numbers "
-                f"x,y,radius,eta")
-        disks.append(tuple(vals))
-    return disks
-
-
 def _read_grid_field(cfg, key: str, grid: Grid2D) -> np.ndarray:
     """The HSF1 field named by config key ``key``, checked to be real,
     finite and on ``grid``."""
@@ -89,20 +71,23 @@ def _read_grid_field(cfg, key: str, grid: Grid2D) -> np.ndarray:
 def _build_eta(cfg, grid: Grid2D) -> np.ndarray:
     x, y = grid.coords()
     eta = np.full(x.shape, cfg.eta_b)
+    # the potential reads only eta^2: an index of -1.2 would act as 1.2
     if cfg.scene == "disk":
-        if cfg.disk_radius_cm <= 0.0:
-            raise io.ConfigError("disk scene requires disk_radius_cm > 0")
+        if cfg.disk_radius_cm <= 0.0 or cfg.disk_eta <= 0.0:
+            raise io.ConfigError("disk scene requires disk_radius_cm > 0 "
+                                 "and disk_eta > 0")
         eta[np.hypot(x, y) <= cfg.disk_radius_cm] = cfg.disk_eta
     elif cfg.scene == "phantom":
-        disks = _parse_disk_list(cfg.phantom_disks)
-        if not disks:
+        if not cfg.phantom_disks:
             raise io.ConfigError("phantom scene requires phantom_disks")
-        for cx, cy, rad, val in disks:
+        for cx, cy, rad, val in cfg.phantom_disks:
             eta[np.hypot(x - cx, y - cy) <= rad] = val
     elif cfg.scene == "file":
         if not cfg.scene_file:
             raise io.ConfigError("file scene requires scene_file")
         eta = _read_grid_field(cfg, "scene_file", grid)
+        if np.any(eta <= 0.0):
+            raise io.ConfigError("scene_file indices must be positive")
     else:
         raise io.ConfigError(f"unknown scene {cfg.scene!r}")
     return eta
@@ -182,24 +167,25 @@ def cmd_reconstruct(cfg, out, wall_time: bool):
 
 
 def cmd_bench(cfg, out, wall_time: bool):
-    contrasts = io.parse_float_list(cfg.contrast_list) or [0.0]
-    if not all(-1.0 < c < np.inf for c in contrasts):
-        raise io.ConfigError(f"contrast_list {cfg.contrast_list!r}: each "
-                             f"contrast must be finite and above -1")
-    radii = io.parse_float_list(cfg.radius_list_lambda)
-    if not radii or not all(0.0 < r < np.inf for r in radii):
-        raise io.ConfigError("bench requires radius_list_lambda, with "
-                             "finite radii above 0")
-    models = [m.strip() for m in cfg.bench_models.split(",") if m.strip()]
-    if not models or not set(models) <= set(_BACKENDS):
-        raise io.ConfigError(f"bench_models {cfg.bench_models!r} must list "
-                             f"models from {sorted(_BACKENDS)}")
     grid = _build_grid(cfg)
     lam = cfg.wavelength_cm
     solver = _solver_config(cfg)
     # one view, whose incident wave shines along -x; its sensors are unused
     scene = ScatteringScene(grid, cfg.eta_b, make_circular_geometry(
         1, 4, grid.side_length * 2.0, lam))
+    contrasts = cfg.contrast_list or (0.0,)
+    if not all(c > -1.0 for c in contrasts):
+        raise io.ConfigError(f"contrast_list {contrasts}: each contrast "
+                             f"must be above -1")
+    # the analytic field is for the whole disk, the models see the grid
+    half = grid.side_length / 2.0
+    radii = cfg.radius_list_lambda
+    if not radii or not all(0.0 < r * lam <= half for r in radii):
+        raise io.ConfigError(f"bench requires radius_list_lambda, with radii "
+                             f"r in 0 < r * wavelength_cm <= {half} cm")
+    if not cfg.bench_models or not set(cfg.bench_models) <= set(_BACKENDS):
+        raise io.ConfigError(f"bench_models {cfg.bench_models} must list "
+                             f"models from {sorted(_BACKENDS)}")
     x, y = grid.coords()
     rows = []
     for contrast in contrasts:
@@ -210,7 +196,7 @@ def cmd_bench(cfg, out, wall_time: bool):
             u_ref = analytic_disk_field(disk, grid, (-1.0, 0.0))
             f = np.where(np.hypot(x, y) <= radius,
                          scene.k0**2 * (eta_disk**2 - cfg.eta_b**2), 0.0)
-            for model in models:
+            for model in cfg.bench_models:
                 t0 = time.perf_counter()
                 backend = _BACKENDS[model](scene, f, solver)
                 u_tot, report = backend.total_field(0)

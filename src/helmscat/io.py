@@ -11,8 +11,38 @@ from types import SimpleNamespace
 import numpy as np
 
 _MAGIC = b"HSF1"
+_KINDS = ("<f8", "<c16")  # HSF1 kind byte -> payload dtype
 
-# key -> (type, required-by commands, default)
+
+class ConfigError(ValueError):
+    pass
+
+
+def _items(text: str, sep: str = ",") -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(sep) if tok.strip())
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in _items(text))
+
+
+def _disks(text: str) -> tuple[tuple[float, ...], ...]:
+    """``;``-separated ``x,y,radius,eta`` entries."""
+    disks = []
+    for entry in _items(text, ";"):
+        try:
+            disk = _floats(entry)
+        except ValueError:
+            disk = ()
+        if (len(disk) != 4 or not np.all(np.isfinite(disk))
+                or min(disk[2:]) <= 0.0):
+            raise ConfigError(f"entry {entry!r} must be four finite numbers "
+                              f"x,y,radius,eta, radius and eta above 0")
+        disks.append(disk)
+    return tuple(disks)
+
+
+# key -> (type or list parser, required-by commands, default)
 _SCHEMA = {
     "side_length_cm": (float, {"simulate", "reconstruct", "bench"}, None),
     "grid_points": (int, {"simulate", "reconstruct", "bench"}, None),
@@ -35,7 +65,7 @@ _SCHEMA = {
     "scene": (str, set(), "disk"),
     "disk_radius_cm": (float, set(), 0.0),
     "disk_eta": (float, set(), 1.0),
-    "phantom_disks": (str, set(), ""),
+    "phantom_disks": (_disks, set(), ()),
     "scene_file": (str, set(), ""),
     "measurements_file": (str, {"reconstruct"}, None),
     "ground_truth_file": (str, set(), ""),
@@ -45,19 +75,15 @@ _SCHEMA = {
     "subset_size": (int, set(), 0),
     "seed": (int, set(), 0),
     "inner_prox_iterations": (int, set(), 50),
-    "contrast_list": (str, set(), ""),
-    "radius_list_lambda": (str, set(), ""),
-    "bench_models": (str, set(), "lis,mgh"),
+    "contrast_list": (_floats, set(), ()),
+    "radius_list_lambda": (_floats, set(), ()),
+    "bench_models": (_items, set(), ("lis", "mgh")),
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def parse_config(path: str | Path, command: str) -> SimpleNamespace:
-    """Parse a flat key=value document; unknown keys, non-finite floats and
-    missing keys that ``command`` requires are rejected."""
+    """Parse a flat key=value document, list keys into tuples; unknown keys,
+    non-finite floats and missing keys ``command`` requires are rejected."""
     values = {}
     text = Path(path).read_text()
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -75,11 +101,12 @@ def parse_config(path: str | Path, command: str) -> SimpleNamespace:
         caster = _SCHEMA[key][0]
         try:
             values[key] = caster(val)
+        except ConfigError as exc:
+            raise ConfigError(f"line {ln}: {key} {exc}") from None
         except ValueError:
-            raise ConfigError(
-                f"line {ln}: cannot parse {val!r} as {caster.__name__}"
-            ) from None
-        if caster is float and not np.isfinite(values[key]):
+            raise ConfigError(f"line {ln}: cannot parse {key} value {val!r}"
+                              ) from None
+        if caster in (float, _floats) and not np.all(np.isfinite(values[key])):
             raise ConfigError(f"line {ln}: {key} must be finite, got {val!r}")
     for key, (_, required_by, default) in _SCHEMA.items():
         if key in values:
@@ -90,26 +117,14 @@ def parse_config(path: str | Path, command: str) -> SimpleNamespace:
     return SimpleNamespace(**values)
 
 
-def parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
 def write_field(path: str | Path, arr: np.ndarray):
     """HSF1 binary: magic, little-endian u32 rows, u32 cols, u8 kind
-    (0 = real float64, 1 = complex interleaved float64), row-major payload."""
-    arr = np.ascontiguousarray(arr)
+    (0 = real ``<f8``, 1 = complex ``<c16``), row-major payload."""
+    arr = np.asarray(arr)
     if arr.ndim != 2:
         raise ValueError("field must be 2-D")
-    if np.iscomplexobj(arr):
-        kind = 1
-        payload = arr.astype(np.complex128)
-        raw = np.empty(arr.shape + (2,), dtype="<f8")
-        raw[..., 0] = payload.real
-        raw[..., 1] = payload.imag
-        body = raw.tobytes()
-    else:
-        kind = 0
-        body = arr.astype("<f8").tobytes()
+    kind = int(np.iscomplexobj(arr))
+    body = arr.astype(_KINDS[kind]).tobytes()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIB", arr.shape[0], arr.shape[1], kind))
@@ -135,11 +150,7 @@ def read_field(path: str | Path) -> np.ndarray:
     if len(body) != size:
         raise ValueError(f"{path}: HSF1 body has {len(body)} bytes, the "
                          f"{rows}x{cols} header needs {size}")
-    raw = np.frombuffer(body, dtype="<f8")
-    if kind == 0:
-        return raw.reshape(rows, cols).copy()
-    raw = raw.reshape(rows, cols, 2)
-    return raw[..., 0] + 1j * raw[..., 1]
+    return np.frombuffer(body, dtype=_KINDS[kind]).reshape(rows, cols).copy()
 
 
 def _fmt(x) -> str:

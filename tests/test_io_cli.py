@@ -34,6 +34,19 @@ def test_field_round_trip_complex(tmp_path):
     np.testing.assert_array_equal(io.read_field(path), arr)
 
 
+def test_field_round_trip_complex_special_values(tmp_path):
+    path = tmp_path / "s.hsf"
+    arr = np.array([[complex(-0.0, 1.0), complex(1.0, np.inf)],
+                    [complex(np.nan, -np.inf), complex(-np.inf, -0.0)]])
+    io.write_field(path, arr)
+    # the body is the re,im pairs as little-endian float64
+    pairs = np.stack([arr.real, arr.imag], axis=-1).astype("<f8")
+    assert path.read_bytes()[13:] == pairs.tobytes()
+    back = io.read_field(path)
+    assert back.dtype == np.complex128
+    assert back.tobytes() == arr.tobytes()
+
+
 def test_field_header(tmp_path):
     path = tmp_path / "h.hsf"
     io.write_field(path, np.zeros((2, 3)))
@@ -111,6 +124,24 @@ def test_config_bad_line(tmp_path):
     p = _write(tmp_path, BASE + "just some words\n")
     with pytest.raises(io.ConfigError, match="key=value"):
         io.parse_config(p, "simulate")
+
+
+def test_config_list_keys_are_tuples(tmp_path):
+    defaults = io.parse_config(_write(tmp_path, BASE), "simulate")
+    assert defaults.contrast_list == ()
+    assert defaults.radius_list_lambda == ()
+    assert defaults.phantom_disks == ()
+    assert defaults.bench_models == ("lis", "mgh")
+    cfg = io.parse_config(_write(tmp_path, BASE + """
+contrast_list = 0.5, 1
+radius_list_lambda = 0.5,
+phantom_disks = 0,0,4,1.15; 2,1,1.5,1.05;
+bench_models = mgh
+"""), "simulate")
+    assert cfg.contrast_list == (0.5, 1.0)
+    assert cfg.radius_list_lambda == (0.5,)
+    assert cfg.phantom_disks == ((0.0, 0.0, 4.0, 1.15), (2.0, 1.0, 1.5, 1.05))
+    assert cfg.bench_models == ("mgh",)
 
 
 # ---------- CLI ----------
@@ -536,6 +567,72 @@ def test_bench_rejects_bad_lists(tmp_path, capsys, monkeypatch, line):
     _assert_input_error(capsys, ["bench", "--config", str(cfg),
                                  "--out-dir", str(out)], key)
     assert not (out / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("command, line, needle", [
+    ("bench", "contrast_list = 0.5,abc",
+     "cannot parse contrast_list value '0.5,abc'"),
+    ("bench", "radius_list_lambda = 0.5,x",
+     "cannot parse radius_list_lambda value '0.5,x'"),
+    ("bench", "radius_list_lambda = 0.5, nan",
+     "radius_list_lambda must be finite"),
+    # list keys are parsed for every command, also where they are unused
+    ("simulate", "contrast_list = 0.5,abc",
+     "cannot parse contrast_list value '0.5,abc'")])
+def test_list_parse_errors_name_the_key_and_line(tmp_path, capsys, command,
+                                                 line, needle):
+    key = line.split(" = ")[0]
+    lines = [ln for ln in (BENCH if command == "bench" else SIM).splitlines()
+             if not ln.startswith(key)] + [line]
+    cfg = _write(tmp_path, "\n".join(lines) + "\n")
+    _assert_input_error(capsys, [command, "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "lout")],
+                        f"line {len(lines)}: {needle}")
+
+
+@pytest.mark.parametrize("radius", ["1e9", "1.5"])
+def test_bench_rejects_disks_outside_the_domain(tmp_path, capsys,
+                                                monkeypatch, radius):
+    # the analytic field is for the whole disk; 1e9 wavelengths would
+    # also size the series beyond memory
+    from helmscat import cli
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("a radius was checked after a series")
+
+    monkeypatch.setattr(cli, "analytic_disk_field", no_series)
+    cfg = _write(tmp_path, BENCH.replace("lambda = 0.5",
+                                         f"lambda = 0.5, {radius}"),
+                 name="bench.cfg")
+    out = tmp_path / "bout"
+    _assert_input_error(capsys, ["bench", "--config", str(cfg),
+                                 "--out-dir", str(out)],
+                        "radius_list_lambda")
+    assert not (out / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("old, new, needle", [
+    ("disk_eta = 1.2", "disk_eta = -1", "disk_eta > 0"),
+    ("disk_eta = 1.2", "disk_eta = -1.2", "disk_eta > 0"),
+    ("disk_eta = 1.2", "disk_eta = 0", "disk_eta > 0"),
+    ("scene = disk", "scene = phantom\nphantom_disks = 0,0,3,-1.5",
+     "phantom_disks entry"),
+    ("scene = disk", "scene = phantom\nphantom_disks = 0,0,-3,1.1",
+     "phantom_disks entry"),
+    ("scene = disk", "scene = file", "scene_file indices must be positive")])
+def test_nonpositive_index_or_phantom_radius(tmp_path, capsys, old, new,
+                                             needle):
+    # the potential reads eta^2 only: -1.2 would simulate the scene of 1.2
+    eta = np.ones((17, 17))
+    eta[6:10, 6:10] = -1.3
+    io.write_field(tmp_path / "neg.hsf", eta)
+    assert old in SIM
+    cfg = _write(tmp_path, SIM.replace(old, new)
+                 + f"scene_file = {tmp_path / 'neg.hsf'}\n")
+    out = tmp_path / "iout"
+    _assert_input_error(capsys, ["simulate", "--config", str(cfg),
+                                 "--out-dir", str(out)], needle)
+    assert not (out / "measurements.csv").exists()
 
 
 @pytest.mark.parametrize("entry", ["0,0,4,nan", "0,0,nan,1.1", "inf,0,4,1.1",

@@ -131,9 +131,6 @@ def cmd_reconstruct(cfg, out, wall_time: bool):
     if cfg.subset_size < 0:
         raise ValueError(f"subset_size must be nonnegative (0 means all "
                          f"views), got {cfg.subset_size}")
-    if cfg.subset_size > cfg.num_views:
-        raise ValueError(f"subset_size {cfg.subset_size} exceeds the "
-                         f"{cfg.num_views} views")
     # checks the counts also for a run of 0 iterations
     rcfg = ReconstructionConfig(
         gamma=cfg.gamma, tau=cfg.tau, iterations=cfg.iterations,
@@ -144,21 +141,15 @@ def cmd_reconstruct(cfg, out, wall_time: bool):
     eta_true = None
     if cfg.ground_truth_file:
         eta_true = _read_grid_field(cfg, "ground_truth_file", scene.grid)
-    s = scene.grid.points_per_side
-    if cfg.iterations == 0:
-        f_star = np.zeros((s, s))
-        history = None
-    else:
-        f_star, history = reconstruct_fbs(measurements, scene, rcfg,
-                                          eta_true=eta_true)
+    f_star, history = reconstruct_fbs(measurements, scene, rcfg,
+                                      eta_true=eta_true)
     eta_star = eta_from_potential(f_star, cfg.eta_b, scene.k0)
     rows = []
-    if history is not None:
-        for i in range(len(history.objective)):
-            snr_val = history.snr_db[i] if history.snr_db else ""
-            rows.append([i + 1, history.objective[i], snr_val,
-                         history.work_units[i],
-                         history.seconds[i] if wall_time else 0.0])
+    for i in range(len(history.objective)):
+        snr_val = history.snr_db[i] if history.snr_db else ""
+        rows.append([i + 1, history.objective[i], snr_val,
+                     history.work_units[i],
+                     history.seconds[i] if wall_time else 0.0])
     io.write_field(out("eta.hsf"), eta_star)
     io.write_field(out("f.hsf"), f_star)
     io.write_rows_csv(out("history.csv"),
@@ -251,6 +242,9 @@ def main(argv=None) -> int:
         return 0
     except (ValueError, OSError) as exc:     # ConfigError, FileNotFoundError
         print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    except MemoryError as exc:               # a grid too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         code = 2
     except RuntimeError as exc:              # SolverFailure, BicgstabBreakdown
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -41,6 +41,11 @@ class Grid2D:
             raise ValueError("grid needs at least 3 points per side")
         if not 0.0 < self.side_length < math.inf:
             raise ValueError("side_length must be positive and finite")
+        h2 = self.h * self.h
+        if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
+            raise ValueError(f"side_length {self.side_length} gives a mesh "
+                             f"size h = {self.h:g} whose h^2 or 1/h^2 is "
+                             f"zero or not finite")
         if not all(math.isfinite(c) for c in self.origin):
             raise ValueError("origin must be finite")
 

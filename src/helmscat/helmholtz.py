@@ -52,8 +52,11 @@ class HelmholtzOperator:
             raise ValueError("eta^2 must be positive and finite")
         if np.shape(alpha) != eta_sq.shape:
             raise ValueError("alpha shape does not match eta_sq")
-        if not (0.0 < h < math.inf and 0.0 < k0 < math.inf):
-            raise ValueError("h and k0 must be positive and finite")
+        if not (0.0 < h and 0.0 < h * h < math.inf
+                and 1.0 / (h * h) < math.inf
+                and 0.0 < k0 and k0 * k0 < math.inf):
+            raise ValueError("h and k0 must be positive and finite, with "
+                             "h^2, 1/h^2 and k0^2 finite and above 0")
         self.eta_sq = eta_sq
         self.k0 = k0
         self.h = h
@@ -78,47 +81,43 @@ class HelmholtzOperator:
     def side(self) -> int:
         return self.eta_sq.shape[0]
 
-    def _check(self, u: np.ndarray):
-        s = self.side
-        if u.shape != (s, s):
-            raise ValueError(f"field shape {u.shape} does not match grid {s}")
-
     def apply(self, u: np.ndarray, *, out: np.ndarray | None = None
               ) -> np.ndarray:
-        """A u, written into ``out`` (a C-contiguous complex (s, s) array
-        that is not ``u``) when given.
+        """A u for a field or a stack of fields (shape (..., s, s)), written
+        into ``out`` (a C-contiguous complex array of ``u``'s shape that is
+        not ``u``) when given.
 
-        All four neighbour terms are shifts of the flattened field.  Along
+        All four neighbour terms are shifts of each flattened field.  Along
         axis 1 a flat shift by one also reaches across each row end, so the
         entries it wraps into are saved before and restored after; every
         entry then sees the same operations in the same order as the 2-D
         stencil, and the result is bit-identical to it."""
-        self._check(u)
         s = self.side
+        if u.shape[-2:] != (s, s):
+            raise ValueError(f"field shape {u.shape} does not match grid {s}")
         if out is None:
-            out = np.empty((s, s), dtype=complex)
-        elif (out.shape != (s, s) or out.dtype != complex
+            out = np.empty(u.shape, dtype=complex)
+        elif (out.shape != u.shape or out.dtype != complex
               or not out.flags.c_contiguous or np.may_share_memory(out, u)):
             raise ValueError("out must be a separate C-contiguous complex "
-                             "field of the grid's shape")
+                             "array of the field's shape")
         np.multiply(self._diag_h2, u, out=out)
-        o = out.reshape(-1)
-        f = u.reshape(-1)
-        o[s:] -= f[:-s]
-        o[:-s] -= f[s:]
-        first = o[s::s].copy()          # column 0 of rows 1..s-1
-        o[1:] -= f[:-1]
-        o[s::s] = first
-        last = o[s - 1:-1:s].copy()     # column s-1 of rows 0..s-2
-        o[:-1] -= f[1:]
-        o[s - 1:-1:s] = last
+        o = out.reshape(u.shape[:-2] + (-1,))
+        f = u.reshape(o.shape)
+        o[..., s:] -= f[..., :-s]
+        o[..., :-s] -= f[..., s:]
+        first = o[..., s::s].copy()        # column 0 of rows 1..s-1
+        o[..., 1:] -= f[..., :-1]
+        o[..., s::s] = first
+        last = o[..., s - 1:-1:s].copy()   # column s-1 of rows 0..s-2
+        o[..., :-1] -= f[..., 1:]
+        o[..., s - 1:-1:s] = last
         out *= self._inv_h2
         return out
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         # The matrix is complex symmetric (all asymmetric boundary terms
         # fold into the diagonal), so A^H v = conj(A conj(v)).
-        self._check(v)
         return np.conj(self.apply(np.conj(v)))
 
     def diagonal(self) -> np.ndarray:

@@ -28,7 +28,8 @@ class ReconstructionConfig:
     def __post_init__(self):
         if not (0.0 < self.gamma < math.inf and 0.0 < self.tau < math.inf):
             raise ValueError("gamma and tau must be positive and finite")
-        for name in ("iterations", "subset_size", "inner_prox_iterations"):
+        for name in ("iterations", "subset_size", "inner_prox_iterations",
+                     "seed"):
             check_integer(name, getattr(self, name))
         if not self.iterations >= 0:
             raise ValueError("iterations must be nonnegative")
@@ -36,6 +37,8 @@ class ReconstructionConfig:
             raise ValueError("subset_size must be at least 1")
         if not self.inner_prox_iterations >= 1:
             raise ValueError("inner_prox_iterations must be at least 1")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -100,29 +103,29 @@ def gradient_data_fidelity(scene: ScatteringScene, f: np.ndarray,
     return grad, fidelity, fwd.hier.meter.total
 
 
-def _forward_diff(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dx = np.zeros_like(w)
-    dy = np.zeros_like(w)
-    dx[:-1, :] = w[1:, :] - w[:-1, :]
-    dy[:, :-1] = w[:, 1:] - w[:, :-1]
-    return dx, dy
+def _forward_diff(w: np.ndarray) -> np.ndarray:
+    """The gradient of ``w`` as one (2, s, s) stack: component 0 along
+    axis 0, component 1 along axis 1, each zero past its far edge."""
+    d = np.zeros((2,) + w.shape, dtype=w.dtype)
+    d[0, :-1, :] = w[1:, :] - w[:-1, :]
+    d[1, :, :-1] = w[:, 1:] - w[:, :-1]
+    return d
 
 
-def _neg_divergence(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+def _neg_divergence(p: np.ndarray) -> np.ndarray:
     # adjoint of _forward_diff
-    out = np.zeros_like(px)
-    out[:-1, :] -= px[:-1, :]
-    out[1:, :] += px[:-1, :]
-    out[:, :-1] -= py[:, :-1]
-    out[:, 1:] += py[:, :-1]
+    out = np.zeros_like(p[0])
+    out[:-1, :] -= p[0, :-1, :]
+    out[1:, :] += p[0, :-1, :]
+    out[:, :-1] -= p[1, :, :-1]
+    out[:, 1:] += p[1, :, :-1]
     return out
 
 
 def tv_value(w: np.ndarray) -> float:
     """Isotropic total variation with forward differences and a replicate
     (zero-gradient) far boundary."""
-    dx, dy = _forward_diff(w)
-    return float(np.sum(np.hypot(dx, dy)))
+    return float(np.sum(np.hypot(*_forward_diff(w))))
 
 
 def tv_prox(w: np.ndarray, weight: float, inner_iters: int = 50
@@ -139,27 +142,23 @@ def tv_prox(w: np.ndarray, weight: float, inner_iters: int = 50
 
 
 def _tv_prox_dual(w: np.ndarray, weight: float, inner_iters: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Fast gradient projection (Beck and Teboulle, 2009) on the dual of
     the nonnegative TV prox, ``weight > 0``: returns the primal point
-    x = max(w - weight * D^T p, 0) and the dual p = (px, py), |p| <= 1."""
-    px = np.zeros_like(w)
-    py = np.zeros_like(w)
-    bx, by = px.copy(), py.copy()
+    x = max(w - weight * D^T p, 0) and the dual p, a (2, s, s) stack like
+    :func:`_forward_diff`'s with |p| <= 1 pointwise."""
+    p = np.zeros((2,) + w.shape, dtype=w.dtype)
+    b = p.copy()
     t = 1.0
     for _ in range(inner_iters):
-        out = np.maximum(w - weight * _neg_divergence(bx, by), 0.0)
-        gx, gy = _forward_diff(out)
-        cx = bx + gx / (8.0 * weight)
-        cy = by + gy / (8.0 * weight)
-        norm = np.maximum(1.0, np.sqrt(cx * cx + cy * cy))
-        px_new, py_new = cx / norm, cy / norm
+        out = np.maximum(w - weight * _neg_divergence(b), 0.0)
+        c = b + _forward_diff(out) / (8.0 * weight)
+        p_new = c / np.maximum(1.0, np.sqrt(c[0] * c[0] + c[1] * c[1]))
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         mom = (t - 1.0) / t_new
-        bx = px_new + mom * (px_new - px)
-        by = py_new + mom * (py_new - py)
-        px, py, t = px_new, py_new, t_new
-    return np.maximum(w - weight * _neg_divergence(px, py), 0.0), px, py
+        b = p_new + mom * (p_new - p)
+        p, t = p_new, t_new
+    return np.maximum(w - weight * _neg_divergence(p), 0.0), p
 
 
 def snr(eta_star: np.ndarray, eta_true: np.ndarray) -> float:

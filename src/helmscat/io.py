@@ -82,13 +82,15 @@ _SCHEMA = {
 
 
 def parse_config(path: str | Path, command: str) -> SimpleNamespace:
-    """Parse a flat key=value document, list keys into tuples; unknown keys,
-    non-finite floats and missing keys ``command`` requires are rejected."""
+    """Parse a flat key=value document, list keys into tuples; ``#``
+    starts a comment anywhere on a line, so no value holds one.  Unknown
+    keys, non-finite floats and missing keys ``command`` requires are
+    rejected."""
     values = {}
     text = Path(path).read_text()
     for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected key=value, got {raw!r}")

@@ -26,10 +26,6 @@ class SolveReport:
     work_units: float = 0.0
 
 
-def _inner(a, b):
-    return np.vdot(a, b)
-
-
 def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
              work_meter=None):
     """Solve A x = b with Bi-CGSTAB, applying the (linear, zero-started)
@@ -85,7 +81,7 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
         return x, report
 
     for it in range(1, max_iter + 1):
-        rho = _inner(r_hat, r)
+        rho = np.vdot(r_hat, r)
         scale = r_hat_norm * r_norm
         if abs(rho) < BREAKDOWN_TOL * max(scale, 1e-300):
             raise BicgstabBreakdown(f"rho breakdown at iteration {it}")
@@ -97,7 +93,7 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
         np.add(r, p, out=p)
         y = apply_M(p)
         v = apply_A(y)
-        denom = _inner(r_hat, v)
+        denom = np.vdot(r_hat, v)
         scale = r_hat_norm * np.linalg.norm(v)
         if abs(denom) < BREAKDOWN_TOL * max(scale, 1e-300):
             raise BicgstabBreakdown(f"<r0hat, v> breakdown at iteration {it}")
@@ -122,10 +118,10 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
             break
         z = apply_M(s)
         t = apply_A(z)
-        tt = _inner(t, t)
-        if abs(tt) < BREAKDOWN_TOL * max(float(np.linalg.norm(t))**2, 1e-300):
+        tt = np.vdot(t, t)
+        if abs(tt) < BREAKDOWN_TOL * max(tt.real, 1e-300):
             raise BicgstabBreakdown(f"<t, t> breakdown at iteration {it}")
-        sigma = _inner(t, s) / tt
+        sigma = np.vdot(t, s) / tt
         # x = h + sigma * z and r = s - sigma * t
         np.multiply(sigma, z, out=prod)
         np.add(x, prod, out=x)

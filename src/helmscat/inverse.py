@@ -78,7 +78,7 @@ def gradient_data_fidelity(scene: ScatteringScene, f: np.ndarray,
                            ) -> tuple[np.ndarray, float, float]:
     """Summed gradient of the per-view quadratic fidelities over ``subset``
     (fixed ascending view order), plus the subset fidelity value and the
-    multigrid work units spent.  ``warm``, an optional dict that the caller
+    work units its solves report.  ``warm``, an optional dict that the caller
     keeps across calls and never reads, lets the forward model start each
     view's solves from its solutions of an earlier call (see
     :meth:`HelmholtzForward.fields`).
@@ -97,10 +97,10 @@ def gradient_data_fidelity(scene: ScatteringScene, f: np.ndarray,
     resid = [y - measurements.views[q]
              for q, y in zip(subset, fwd.measure(subset, fwd.f * u))]
     fidelity = sum(0.5 * float(np.linalg.norm(r)**2) for r in resid)
-    back, reports = fwd.adjoint(subset, resid, warm)
-    _require_converged("adjoint", subset, reports)
+    back, adjoint_reports = fwd.adjoint(subset, resid, warm)
+    _require_converged("adjoint", subset, adjoint_reports)
     grad = np.real(np.conj(u) * back).sum(axis=0)
-    return grad, fidelity, fwd.hier.meter.total
+    return grad, fidelity, sum(r.work_units for r in reports + adjoint_reports)
 
 
 def _forward_diff(w: np.ndarray) -> np.ndarray:

@@ -169,9 +169,9 @@ def write_measurements_csv(path: str | Path, geometry, views: list[np.ndarray]):
                          f"of {geometry.num_views}")
     for q, y in enumerate(views):
         count = int(np.count_nonzero(geometry.active[q]))
-        if len(y) != count:
-            raise ValueError(f"view {q}: {len(y)} values for {count} "
-                             f"active sensors")
+        if np.shape(y) != (count,):
+            raise ValueError(f"view {q}: {np.size(y)} values for {count} "
+                             f"active sensors (shape {np.shape(y)})")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["view", "sensor", "re", "im"])

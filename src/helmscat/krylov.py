@@ -23,11 +23,11 @@ class SolveReport:
     iterations: int
     residual_history: list[float] = field(default_factory=list)
     converged: bool = False
+    # preconditioner work; the caller that meters it fills this in
     work_units: float = 0.0
 
 
-def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
-             work_meter=None):
+def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000):
     """Solve A x = b with Bi-CGSTAB, applying the (linear, zero-started)
     preconditioner ``apply_M`` to the search directions.  Started from
     zero (``x0=None``), the initial residual is b itself, with no
@@ -49,7 +49,6 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
         apply_M = lambda v: v
 
     b = np.asarray(b, dtype=complex)
-    wu0 = work_meter.total if work_meter is not None else 0.0
 
     b_norm = float(np.linalg.norm(b))
     if x0 is None:
@@ -137,6 +136,4 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000,
             report.converged = True
             break
 
-    if work_meter is not None:
-        report.work_units = work_meter.total - wu0
     return x, report

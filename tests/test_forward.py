@@ -338,6 +338,15 @@ def test_geometry_rejects_empty_counts(views, sensors):
         hs.make_circular_geometry(views, sensors, 40.0, 10.0)
 
 
+@pytest.mark.parametrize("radius", [-40.0, 0.0, np.nan])
+def test_geometry_rejects_nonpositive_radius(radius):
+    # at radius -40 the active sensors of view 0 would sit where its wave
+    # comes from: <s, d> = -28.3, -40, -28.3 in place of 28.3, 40, 28.3
+    with pytest.raises(ValueError, match=f"sensor radius {radius} must be "
+                                         f"positive"):
+        hs.make_circular_geometry(4, 8, radius, 10.0, active_count=3)
+
+
 @pytest.mark.parametrize("active", [0, -1, 9])
 def test_geometry_rejects_active_count_out_of_range(active):
     with pytest.raises(ValueError, match="active sensor count"):
@@ -522,6 +531,30 @@ def test_multigrid_solve_counts_pinned(levels, iterations, work_units):
     assert all(r.converged for r in reports)
     assert [r.iterations for r in reports] == iterations
     assert fwd.hier.meter.total == work_units
+
+
+@pytest.mark.usefixtures("multigrid_path")
+def test_multigrid_reports_carry_their_solves_work_units(monkeypatch):
+    from helmscat import forward
+    scene = _small_scene(views=3)
+    x, y = scene.grid.coords()
+    f = np.where(np.hypot(x, y) <= 5.0, scene.k0 ** 2 * (1.5 ** 2 - 1.0), 0.0)
+    fwd = hs.HelmholtzForward(scene, f, hs.SolverConfig(
+        abl_points=4, beta=0.15, levels=3))
+    spent = []
+
+    def metered(*args, **kwargs):
+        wu0 = fwd.hier.meter.total
+        solved = hs.bicgstab(*args, **kwargs)
+        spent.append(fwd.hier.meter.total - wu0)
+        return solved
+
+    monkeypatch.setattr(forward, "bicgstab", metered)
+    _, reports = fwd.fields([0, 1, 2])
+    r = [np.ones(8, dtype=complex)] * 3
+    _, adjoint_reports = fwd.adjoint([0, 1, 2], r)
+    assert len(spent) == 6 and all(wu > 0.0 for wu in spent)
+    assert [rep.work_units for rep in reports + adjoint_reports] == spent
 
 
 @pytest.mark.parametrize("k0", [np.nan, np.inf])

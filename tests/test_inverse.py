@@ -55,29 +55,6 @@ def test_prox_fixed_point_on_constants():
     np.testing.assert_allclose(out, 1.7, atol=1e-10)
 
 
-def test_prox_matches_convex_solver():
-    cp = pytest.importorskip("cvxpy")
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal((16, 16)) * 0.5 + 0.3
-    weight = 0.2
-
-    W = cp.Variable((16, 16))
-    dx = W[1:, :] - W[:-1, :]
-    dy = W[:, 1:] - W[:, :-1]
-    tv = cp.sum(cp.norm(cp.vstack([cp.vec(dx[:, :-1], order="C"),
-                                   cp.vec(dy[:-1, :], order="C")]), axis=0))
-    tv = tv + cp.sum(cp.abs(dx[:, -1])) + cp.sum(cp.abs(dy[-1, :]))
-    prob = cp.Problem(
-        cp.Minimize(0.5 * cp.sum_squares(W - v) + weight * tv), [W >= 0])
-    prob.solve(solver=cp.CLARABEL)
-
-    def objective(w):
-        return 0.5 * np.sum((w - v) ** 2) + weight * tv_value(w)
-
-    out = tv_prox(v, weight, 1500)
-    assert objective(out) - objective(W.value) < 1e-6
-
-
 def test_prox_duality_gap_certificate():
     # criterion 6's property without a convex solver: for a feasible dual
     # p, weight * (TV(x) - <p, D x>) bounds the primal suboptimality of x
@@ -258,7 +235,7 @@ def test_scene_builds_each_operator_once(monkeypatch):
     # the cached operator gives the values of a freshly built one
     active = scene.geometry.active[1]
     u_mgh, _ = hs.HelmholtzForward(scene, f, cfg).total_field(1)
-    u_lis, _ = forward.LisForward(scene, f, cfg).total_field(1)
+    (u_lis,), _ = forward.LisForward(scene, f, cfg).fields([1])
     np.testing.assert_array_equal(y_mgh, g_ref[active] @ (f * u_mgh).ravel())
     np.testing.assert_array_equal(y_lis, g_ref[active] @ (f * u_lis).ravel())
     assert not scene.sensor_operator.flags.writeable
@@ -340,6 +317,19 @@ def test_gradient_warm_buffers_match_cold_and_hold_solutions():
         u_sc, _ = fwd.scattered_field(q)
         assert np.linalg.norm(warm[("forward", q)] - u_sc) \
             <= 1e-6 * np.linalg.norm(u_sc)
+
+
+@pytest.mark.usefixtures("multigrid_path")
+def test_gradient_work_units_equal_the_hierarchys_meter():
+    # summed from the solve reports, they are what a hierarchy meters over
+    # the same forward and adjoint solves
+    scene, cfg, f_true, ms = _toy_problem()
+    f, subset = 0.5 * f_true, [0, 2]
+    _, _, wu = hs.gradient_data_fidelity(scene, f, subset, ms, cfg)
+    fwd = hs.HelmholtzForward(scene, f, cfg)
+    y, _ = fwd.predict(subset)
+    fwd.adjoint(subset, [y_q - ms.views[q] for q, y_q in zip(subset, y)])
+    assert wu > 0.0 and wu == fwd.hier.meter.total
 
 
 def test_reconstruction_threads_one_warm_block(monkeypatch):

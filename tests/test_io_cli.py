@@ -472,7 +472,8 @@ def test_counts_below_one(tmp_path, capsys, line):
                         "at least one view and one sensor")
 
 
-@pytest.mark.parametrize("lengths", [(3, 4), (4, 6)])
+@pytest.mark.parametrize("lengths", [(3, 4), (4, 6), ((4, 2), 4),
+                                     ((4, 1), 4)])
 def test_write_measurements_rejects_wrong_view_length(tmp_path, lengths):
     import helmscat as hs
     geom = hs.make_circular_geometry(2, 8, 40.0, 10.0, active_count=4)
@@ -791,6 +792,8 @@ def test_readme_example_config_runs(tmp_path):
     ("side_length_cm = 1e-300", "side_length 1e-300 gives a mesh size"),
     ("side_length_cm = 1e-160", "whose h^2 or 1/h^2 is zero or not finite"),
     ("eta_b = 1e200", "eta_b = 1e+200 has no finite square"),
+    ("wavelength_cm = 1e300", "wavelength 1e+300 gives k0^2 = 0"),
+    ("eta_b = 1e-300", "eta_b = 1e-300 has a square of 0"),
 ])
 def test_overflowing_scales_exit_2(tmp_path, capsys, line, needle):
     key = line.split()[0]
@@ -801,22 +804,46 @@ def test_overflowing_scales_exit_2(tmp_path, capsys, line, needle):
     assert not any(out.iterdir())
 
 
+def _simulate_with_index(tmp_path, key, value):
+    """simulate's argv and output directory for the test config whose
+    index ``value`` is held by config key ``key``: the disk, one phantom
+    disk, or a block of a scene file."""
+    old, new = {"disk_eta": ("disk_eta = 1.2", f"disk_eta = {value}"),
+                "phantom_disks": ("scene = disk", f"scene = phantom\n"
+                                  f"phantom_disks = 0,0,3,{value}"),
+                "scene_file": ("scene = disk", "scene = file")}[key]
+    eta = np.ones((17, 17))
+    eta[6:10, 6:10] = float(value)
+    io.write_field(tmp_path / "eta.hsf", eta)
+    return _simulate(tmp_path, SIM.replace(old, new)
+                     + f"scene_file = {tmp_path / 'eta.hsf'}\n")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("key", ["disk_eta", "phantom_disks", "scene_file"])
 def test_index_with_overflowing_potential_exits_2(tmp_path, capsys, key):
     # numpy would print its overflow warning before the error; the error
     # mark makes that warning fail the run where pytest would hide it
-    old, new = {"disk_eta": ("disk_eta = 1.2", "disk_eta = 1e200"),
-                "phantom_disks": ("scene = disk", "scene = phantom\n"
-                                  "phantom_disks = 0,0,3,1e200"),
-                "scene_file": ("scene = disk", "scene = file")}[key]
-    eta = np.ones((17, 17))
-    eta[6:10, 6:10] = 1e200
-    io.write_field(tmp_path / "big.hsf", eta)
-    argv, out = _simulate(tmp_path, SIM.replace(old, new)
-                          + f"scene_file = {tmp_path / 'big.hsf'}\n")
+    argv, out = _simulate_with_index(tmp_path, key, "1e200")
     _assert_input_error(capsys, argv, f"{key} holds an index 1e+200 whose "
                                       f"potential")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", ["disk_eta", "phantom_disks", "scene_file"])
+def test_index_with_underflowing_square_exits_2(tmp_path, capsys, key):
+    argv, out = _simulate_with_index(tmp_path, key, "1e-300")
+    _assert_input_error(capsys, argv, f"{key} holds an index 1e-300 whose "
+                                      f"square is 0")
+    assert not any(out.iterdir())
+
+
+def test_negative_sensor_radius_exits_2(tmp_path, capsys):
+    # the active sensors would move to the side the waves come from
+    text = SIM.replace("sensor_radius_cm = 40.0", "sensor_radius_cm = -40")
+    argv, out = _simulate(tmp_path, text + "active_sensors = 3\n")
+    _assert_input_error(capsys, argv, "sensor radius -40.0 must be positive")
     assert not any(out.iterdir())
 
 

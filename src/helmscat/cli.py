@@ -114,8 +114,6 @@ def cmd_simulate(cfg, out, wall_time: bool):
     solver = _solver_config(cfg)
     eta = _build_eta(cfg, scene)
     f = _potential(eta, cfg.eta_b, scene.k0)
-    if cfg.model not in _BACKENDS:
-        raise io.ConfigError(f"unknown model {cfg.model!r}")
     scene.sensor_operator  # before any solve: lower peak, early sensor check
     model = _BACKENDS[cfg.model](scene, f, solver)
     num_views = scene.geometry.num_views
@@ -138,6 +136,10 @@ def cmd_simulate(cfg, out, wall_time: bool):
 
 
 def cmd_reconstruct(cfg, out, wall_time: bool):
+    if cfg.model != "mgh":
+        raise io.ConfigError(f"reconstruct requires model = mgh, got "
+                             f"{cfg.model}: TV-FBS has no adjoint of the "
+                             f"Lippmann-Schwinger model yet")
     scene = _build_scene(cfg)
     solver = _solver_config(cfg)
     if cfg.subset_size < 0:
@@ -186,9 +188,8 @@ def cmd_bench(cfg, out, wall_time: bool):
     if not radii or not all(0.0 < r * lam <= half for r in radii):
         raise io.ConfigError(f"bench requires radius_list_lambda, with radii "
                              f"r in 0 < r * wavelength_cm <= {half} cm")
-    if not cfg.bench_models or not set(cfg.bench_models) <= set(_BACKENDS):
-        raise io.ConfigError(f"bench_models {cfg.bench_models} must list "
-                             f"models from {sorted(_BACKENDS)}")
+    if not cfg.bench_models:
+        raise io.ConfigError("bench_models must list at least one model")
     x, y = grid.coords()
     rows = []
     for contrast in contrasts:

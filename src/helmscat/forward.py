@@ -86,6 +86,10 @@ def make_circular_geometry(num_views: int, num_sensors: int,
                          f"{num_views} views and {num_sensors} sensors")
     if not sensor_radius > 0.0:
         raise ValueError(f"sensor radius {sensor_radius} must be positive")
+    diameter = 2.0 * float(sensor_radius)
+    if not diameter * diameter < math.inf:
+        raise ValueError(f"sensor radius {sensor_radius} is too large: the "
+                         f"squared sensor distances overflow")
     if active_count is not None and not 1 <= active_count <= num_sensors:
         raise ValueError(f"active sensor count {active_count} out of range "
                          f"[1, {num_sensors}]")
@@ -317,36 +321,34 @@ class HelmholtzForward(_ForwardModel):
                                 cfg.nu1, cfg.nu2, cfg.omega, cfg.cycle_type)
         self._precond = self.hier.as_preconditioner()
 
-    def incident_extended(self, view: int) -> np.ndarray:
-        return _plane_waves(self.scene, self.eg, [view])[0]
-
     def _solve(self, b: np.ndarray, warm=None, keys=()
                ) -> tuple[np.ndarray, list[SolveReport]]:
-        """Solve A x_i = b_i for each field of the stack ``b``.
+        """Solve A x_i = b_i for each field of the complex stack ``b``.
 
         Direct path: one multi-column LU solve and one stacked residual,
         ||b_i - A x_i|| <= tol ||b_i|| per field, reported as one iteration
         with no work units (a non-finite residual does not converge); the
         solve is exact, so ``warm`` is neither read nor filled.  Multigrid
         path: Bi-CGSTAB per field, preconditioned by the hierarchy, whose
-        meter gives each report's work units.  With a ``warm`` dict, field i
+        meter gives each report's work units; each x_i is written over b_i,
+        so ``b`` is consumed and returned.  With a ``warm`` dict, field i
         starts from ``warm[keys[i]]`` when that holds a guess, and its
         solution is copied into that entry, a buffer allocated on first use
         and then overwritten in place."""
         if not self.direct:
-            guesses = ([None] * len(b) if warm is None
-                       else [warm.get(k) for k in keys])
-            solved = []
-            for b_i, x0 in zip(b, guesses):
+            reports = []
+            for i, b_i in enumerate(b):
+                x0 = None if warm is None else warm.get(keys[i])
                 wu0 = self.hier.meter.total
-                solved.append(bicgstab(self.op.apply, b_i, self._precond,
-                                       x0, self.cfg.tol, self.cfg.max_iter))
-                solved[-1][1].work_units = self.hier.meter.total - wu0
-            x = np.stack([x_i for x_i, _ in solved])
-            if warm is not None:
-                for k, x_i in zip(keys, x):
-                    warm.setdefault(k, np.empty_like(x_i))[...] = x_i
-            return x, [r for _, r in solved]
+                # into b_i directly: a named solution outlives its view
+                b_i[...], report = bicgstab(self.op.apply, b_i, self._precond,
+                                            x0, self.cfg.tol,
+                                            self.cfg.max_iter)
+                report.work_units = self.hier.meter.total - wu0
+                reports.append(report)
+                if warm is not None:
+                    warm.setdefault(keys[i], np.empty_like(b_i))[...] = b_i
+            return b, reports
         x = self.hier.coarsest_solve(b)
         r = self.op.apply(x)
         r -= b
@@ -403,7 +405,7 @@ class HelmholtzForward(_ForwardModel):
         """Solve A^H z = rhs on the extended domain, the one-field case of
         the solve in :meth:`adjoint`: the operator is complex symmetric, so
         z = conj(x) with A x = conj(rhs)."""
-        x, reports = self._solve(np.conj(rhs)[None])
+        x, reports = self._solve(np.conj(rhs, dtype=complex)[None])
         return np.conj(x[0]), reports[0]
 
     def adjoint(self, views, r, warm=None
@@ -431,12 +433,14 @@ class LisForward(_ForwardModel):
 
     def fields(self, views) -> tuple[np.ndarray, list[SolveReport]]:
         """Total fields of ``views`` on the region of interest, one Krylov
-        solve per view."""
-        solved = [solve_lis(self.scene.green_kernel, self.f, u_in,
-                            tol=self.cfg.tol, max_iter=self.cfg.max_iter)
-                  for u_in in _plane_waves(self.scene, self.scene.grid,
-                                           views)]
-        return np.stack([u for u, _ in solved]), [r for _, r in solved]
+        solve per view, each written over its incident wave."""
+        u = _plane_waves(self.scene, self.scene.grid, views)
+        reports = []
+        for u_i in u:
+            u_i[...], report = solve_lis(self.scene.green_kernel, self.f, u_i,
+                                         self.cfg.tol, self.cfg.max_iter)
+            reports.append(report)
+        return u, reports
 
 
 def forward_mgh(scene: ScatteringScene, f: np.ndarray, view: int,

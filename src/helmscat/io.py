@@ -42,6 +42,13 @@ def _disks(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(disks)
 
 
+def _model(text: str) -> str:
+    """A forward-model name: ``mgh`` (multigrid Helmholtz) or ``lis``."""
+    if text not in ("mgh", "lis"):
+        raise ConfigError(f"must be mgh or lis, got {text!r}")
+    return text
+
+
 # key -> (type or list parser, required-by commands, default)
 _SCHEMA = {
     "side_length_cm": (float, {"simulate", "reconstruct", "bench"}, None),
@@ -57,7 +64,7 @@ _SCHEMA = {
     "cycle_type": (int, set(), 1),
     "solver_tol": (float, set(), 1e-6),
     "solver_max_iter": (int, set(), 500),
-    "model": (str, set(), "mgh"),
+    "model": (_model, set(), "mgh"),
     "num_views": (int, {"simulate", "reconstruct"}, None),
     "num_sensors": (int, {"simulate", "reconstruct"}, None),
     "sensor_radius_cm": (float, {"simulate", "reconstruct"}, None),
@@ -77,7 +84,8 @@ _SCHEMA = {
     "inner_prox_iterations": (int, set(), 50),
     "contrast_list": (_floats, set(), ()),
     "radius_list_lambda": (_floats, set(), ()),
-    "bench_models": (_items, set(), ("lis", "mgh")),
+    "bench_models": (lambda text: tuple(map(_model, _items(text))), set(),
+                     ("lis", "mgh")),
 }
 
 
@@ -183,9 +191,9 @@ def write_measurements_csv(path: str | Path, geometry, views: list[np.ndarray]):
 
 def read_measurements_csv(path: str | Path, geometry):
     """Inverse of :func:`write_measurements_csv`.  Raises ``ValueError``
-    on a missing column, an unparsable value, a view or sensor index out
-    of range, a row for a sensor that is not active in its view, a
-    duplicate row, or a missing active sensor."""
+    on a missing column, an unparsable or non-finite value, a view or
+    sensor index out of range, a row for a sensor that is not active in its
+    view, a duplicate row, or a missing active sensor."""
     from .forward import MeasurementSet
     num_views, num_sensors = geometry.active.shape
     per_view = {q: {} for q in range(num_views)}
@@ -202,6 +210,9 @@ def read_measurements_csv(path: str | Path, geometry):
             except (TypeError, ValueError):
                 raise ValueError(f"{path}, line {ln}: cannot parse "
                                  f"{list(row.values())}") from None
+            if not np.isfinite(val):
+                raise ValueError(f"{path}, line {ln}: non-finite value re "
+                                 f"= {row['re']}, im = {row['im']}")
             if not 0 <= q < num_views:
                 raise ValueError(f"{path}, line {ln}: view {q} out of range "
                                  f"[0, {num_views})")

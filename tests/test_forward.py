@@ -174,7 +174,9 @@ def test_total_field_evaluates_incident_wave_once(monkeypatch):
     f = np.full((s, s), 0.05)
     fwd = hs.HelmholtzForward(scene, f, cfg)
     u_sc, _ = fwd.scattered_field(1)
-    u_ref = hs.restrict_to_roi(u_sc + fwd.incident_extended(1), fwd.eg)
+    u_in = hs.plane_wave(fwd.eg, scene.geometry.directions[1], scene.k0,
+                         scene.eta_b)
+    u_ref = hs.restrict_to_roi(u_sc + u_in, fwd.eg)
     calls = []
 
     def counting(*args, **kwargs):
@@ -282,7 +284,8 @@ def test_warm_total_field_matches_cold_and_fills_buffer():
     assert np.linalg.norm(u_warm - u_cold) <= 1e-8 * np.linalg.norm(u_cold)
     # the same buffer now holds the new scattered field on the extended grid
     assert list(warm) == [("forward", 1)] and warm[("forward", 1)] is buf
-    u_in = cold.incident_extended(1)
+    u_in = hs.plane_wave(cold.eg, scene.geometry.directions[1], scene.k0,
+                         scene.eta_b)
     np.testing.assert_array_equal(
         hs.restrict_to_roi(buf + u_in, cold.eg), u_warm)
     res = cold.op.apply(buf) - cold.f_ext * u_in
@@ -330,6 +333,82 @@ def test_zero_warm_buffer_equals_cold_start():
     back_warm, rep_warm = fwd.adjoint([0, 1], r, {})
     np.testing.assert_array_equal(back_warm, back_cold)
     assert rep_warm == rep_cold
+
+
+@pytest.mark.usefixtures("multigrid_path")
+def test_multigrid_solve_writes_over_its_stack():
+    # each view's solution is written over its right-hand side, bit for bit
+    # the solution of that right-hand side solved alone
+    scene, f, cfg = _warm_problem()
+    fwd = hs.HelmholtzForward(scene, f, cfg)
+    b = fwd.f_ext * np.stack([hs.plane_wave(fwd.eg, d, scene.k0, scene.eta_b)
+                              for d in scene.geometry.directions])
+    rhs = b.copy()
+    x, reports = fwd._solve(b)
+    assert x is b
+    for x_i, rhs_i, report in zip(x, rhs, reports):
+        alone, (report_alone,) = fwd._solve(rhs_i[None].copy())
+        np.testing.assert_array_equal(x_i, alone[0])
+        assert report == report_alone
+
+
+def test_lis_fields_written_over_incident_waves(monkeypatch):
+    from helmscat import forward
+    scene, f, cfg = _warm_problem()
+    plane_waves = forward._plane_waves
+    stacks = []
+
+    def capturing(*args):
+        stacks.append(plane_waves(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(forward, "_plane_waves", capturing)
+    u, reports = LisForward(scene, f, cfg).fields([0, 1])
+    assert len(stacks) == 1 and u is stacks[0]
+    g = scene.geometry
+    for q, u_q, report in zip([0, 1], u, reports):
+        u_in = hs.plane_wave(scene.grid, g.directions[q], scene.k0,
+                             scene.eta_b, g.u0)
+        ref, report_ref = hs.solve_lis(scene.green_kernel, f, u_in,
+                                       tol=cfg.tol, max_iter=cfg.max_iter)
+        np.testing.assert_array_equal(u_q, ref)
+        assert report == report_ref
+
+
+@pytest.mark.usefixtures("multigrid_path")
+def test_batched_fields_peak_memory():
+    # fields(range(V)) holds the incident-wave and right-hand-side stacks,
+    # 2 V fields of the extended grid, and the work of one view's
+    # Bi-CGSTAB solve and multigrid cycle: 12 more fields on this 41^2
+    # grid, under the bound of 14; the solutions add no stack of their own
+    import tracemalloc
+    views = 16
+    scene = _small_scene(views=views)
+    x, y = scene.grid.coords()
+    f = np.where(np.hypot(x, y) <= 5.0, scene.k0 ** 2 * 0.3, 0.0)
+    fwd = hs.HelmholtzForward(scene, f, hs.SolverConfig(
+        abl_points=4, beta=0.15, levels=2))
+    fwd.fields([0])  # builds the smoother's inverse diagonal, kept after
+    field_bytes = fwd.eg.points_per_side ** 2 * 16
+    tracemalloc.start()
+    try:
+        fwd.fields(range(views))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * views + 14) * field_bytes
+
+
+def test_geometry_rejects_a_radius_whose_distances_overflow():
+    with pytest.raises(ValueError, match=r"sensor radius 1e\+160 is too "
+                                         r"large"):
+        hs.make_circular_geometry(4, 8, 1e160, 10.0, active_count=3)
+    # below the limit the active sensors are those of an ordinary radius
+    ref = hs.make_circular_geometry(4, 8, 40.0, 10.0, active_count=3)
+    big = hs.make_circular_geometry(4, 8, 1e150, 10.0, active_count=3)
+    np.testing.assert_array_equal(big.active, ref.active)
+    assert [list(np.flatnonzero(a)) for a in ref.active] == [
+        [3, 4, 5], [5, 6, 7], [0, 1, 7], [1, 2, 3]]
 
 
 @pytest.mark.parametrize("views, sensors", [(0, 8), (2, 0), (-1, 8)])

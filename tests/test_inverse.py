@@ -5,8 +5,8 @@ import pytest
 
 import helmscat as hs
 from helmscat.forward import sensor_green_operator
-from helmscat.inverse import (_forward_diff, _neg_divergence, _tv_prox_dual,
-                              select_subset, tv_prox, tv_value)
+from helmscat.inverse import (_forward_diff, _neg_divergence, select_subset,
+                              tv_prox, tv_value)
 
 
 @pytest.fixture(autouse=True)
@@ -53,19 +53,6 @@ def test_prox_fixed_point_on_constants():
     w = np.full((10, 10), 1.7)
     out = tv_prox(w, 0.2, 200)
     np.testing.assert_allclose(out, 1.7, atol=1e-10)
-
-
-def test_prox_duality_gap_certificate():
-    # criterion 6's property without a convex solver: for a feasible dual
-    # p, weight * (TV(x) - <p, D x>) bounds the primal suboptimality of x
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal((16, 16)) * 0.5 + 0.3
-    weight = 0.2
-    x, p = _tv_prox_dual(v, weight, 1500)
-    np.testing.assert_array_equal(x, tv_prox(v, weight, 1500))
-    gap = weight * (tv_value(x) - np.sum(p * _forward_diff(x)))
-    assert gap < 1e-6
-    assert np.max(np.hypot(*p)) <= 1.0 + 1e-12
 
 
 def test_prox_negative_weight_rejected():

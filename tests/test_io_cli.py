@@ -281,6 +281,53 @@ def test_reconstruct_deterministic(tmp_path):
         assert (r1 / name).read_bytes() == (r2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("model, needle", [
+    ("lis", "reconstruct requires model = mgh, got lis"),
+    ("foo", "line 16: model must be mgh or lis, got 'foo'")])
+def test_reconstruct_rejects_models_other_than_mgh(tmp_path, capsys, model,
+                                                   needle):
+    sim = _write(tmp_path, SIM)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(sim),
+                 "--out-dir", str(out)]) == 0
+    rec = _reconstruct_cfg(tmp_path, out / "measurements.csv", 2,
+                           extra=f"model = {model}\n")
+    rout = tmp_path / "rout"
+    _assert_input_error(capsys, ["reconstruct", "--config", str(rec),
+                                 "--out-dir", str(rout)], needle)
+    assert list(rout.glob("*")) == []
+
+
+@pytest.mark.parametrize("command, line, needle", [
+    ("simulate", "model = foo", "model must be mgh or lis, got 'foo'"),
+    ("bench", "model = foo", "model must be mgh or lis, got 'foo'"),
+    ("bench", "bench_models = mgh, foo",
+     "bench_models must be mgh or lis, got 'foo'")])
+def test_choice_keys_reject_unknown_names(tmp_path, capsys, command, line,
+                                         needle):
+    key = line.split(" = ")[0]
+    lines = [ln for ln in (BENCH if command == "bench" else SIM).splitlines()
+             if not ln.startswith(key)] + [line]
+    cfg = _write(tmp_path, "\n".join(lines) + "\n")
+    out = tmp_path / "cout"
+    _assert_input_error(capsys, [command, "--config", str(cfg),
+                                 "--out-dir", str(out)],
+                        f"line {len(lines)}: {needle}")
+    assert list(out.glob("*")) == []
+
+
+def test_huge_sensor_radius_is_an_input_error(tmp_path, capsys):
+    cfg = _write(tmp_path, SIM.replace("sensor_radius_cm = 40.0",
+                                       "sensor_radius_cm = 1e200"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _assert_input_error(capsys, ["simulate", "--config", str(cfg),
+                                     "--out-dir", str(out)],
+                            "sensor radius 1e+200 is too large")
+    assert list(out.glob("*")) == []
+
+
 def test_reconstruct_rejects_oversized_subset(tmp_path, capsys):
     sim = _write(tmp_path, SIM)
     out = tmp_path / "out"
@@ -442,6 +489,16 @@ def test_measurements_unparsable_row(tmp_path, capsys):
     _assert_input_error(capsys, argv, "cannot parse")
 
 
+@pytest.mark.parametrize("re, im", [("nan", "0.0"), ("1.0", "1e999")])
+def test_measurements_non_finite_value(tmp_path, capsys, re, im):
+    # lines[1] is view 0, sensor 0
+    argv = _reconstruct_with_rows(
+        tmp_path, lambda lines: lines[:1] + [f"0,0,{re},{im}"] + lines[2:])
+    _assert_input_error(capsys, argv, f"measurements.csv, line 2: "
+                                      f"non-finite value re = {re}, im = {im}")
+    assert list((tmp_path / "rout").glob("*")) == []
+
+
 def test_measurements_inactive_sensor(tmp_path):
     import helmscat as hs
     path = tmp_path / "m.csv"
@@ -551,7 +608,7 @@ radius_list_lambda = 0.5
 
 @pytest.mark.parametrize("line", [
     "contrast_list = -2", "contrast_list = 0.5, -1", "contrast_list = nan",
-    "bench_models = ,", "bench_models = mgh, fdtd",
+    "bench_models = ,", "bench_models = mgh, fdtd", "bench_models = foo",
     "radius_list_lambda = inf", "radius_list_lambda = 0.5, -0.5"])
 def test_bench_rejects_bad_lists(tmp_path, capsys, monkeypatch, line):
     from helmscat import cli

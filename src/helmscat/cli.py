@@ -100,8 +100,6 @@ def _build_eta(cfg, scene: ScatteringScene) -> np.ndarray:
         if np.any(eta <= 0.0):
             raise io.ConfigError("scene_file indices must be positive")
         _check_index("scene_file", eta, cfg.eta_b, scene.k0)
-    else:
-        raise io.ConfigError(f"unknown scene {cfg.scene!r}")
     return eta
 
 

@@ -42,11 +42,18 @@ def _disks(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(disks)
 
 
-def _model(text: str) -> str:
-    """A forward-model name: ``mgh`` (multigrid Helmholtz) or ``lis``."""
-    if text not in ("mgh", "lis"):
-        raise ConfigError(f"must be mgh or lis, got {text!r}")
-    return text
+def _choice(*names: str):
+    """Parser of a value that must be one of ``names``."""
+    listed = f"{', '.join(names[:-1])} or {names[-1]}"
+
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ConfigError(f"must be {listed}, got {text!r}")
+        return text
+    return parse
+
+
+_model = _choice("mgh", "lis")  # multigrid Helmholtz or Lippmann-Schwinger
 
 
 # key -> (type or list parser, required-by commands, default)
@@ -69,7 +76,7 @@ _SCHEMA = {
     "num_sensors": (int, {"simulate", "reconstruct"}, None),
     "sensor_radius_cm": (float, {"simulate", "reconstruct"}, None),
     "active_sensors": (int, set(), 0),
-    "scene": (str, set(), "disk"),
+    "scene": (_choice("disk", "phantom", "file"), set(), "disk"),
     "disk_radius_cm": (float, set(), 0.0),
     "disk_eta": (float, set(), 1.0),
     "phantom_disks": (_disks, set(), ()),

@@ -83,6 +83,14 @@ def test_sensor_operator_rejects_interior_sensors():
         sensor_green_operator(g, np.array([[0.0, 0.0]]), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_sensor_operator_rejects_non_finite_sensors(bad):
+    g = hs.Grid2D(9, 8.0, (-4.0, -4.0))
+    with pytest.raises(ValueError, match="sensor positions must be finite"):
+        sensor_green_operator(g, np.array([[10.0, 0.0], [bad, 0.0]]), 1.0,
+                              1.0)
+
+
 def test_sensor_operator_entries():
     g = hs.Grid2D(9, 8.0, (-4.0, -4.0))
     sensors = np.array([[10.0, 0.0]])
@@ -107,21 +115,133 @@ def test_sensor_operator_matches_hankel1():
     np.testing.assert_allclose(G, ref, rtol=1e-13)
 
 
-def test_sensor_operator_blocks_match_full_expression():
-    # the operator is filled one sensor row at a time; its bytes are those
-    # of the whole M-by-N expression
+def _row_expression(grid, sensors, k):
+    """Each sensor's row, evaluated on its own."""
+    from helmscat.lis import green_value
+    x, y = (c.ravel() for c in grid.coords())
+    for sx, sy in sensors:
+        yield grid.h**2 * green_value(k, np.hypot(sx - x, sy - y))
+
+
+def _built_with_evaluated_rows(monkeypatch, grid, sensors, k0, eta_b):
+    """The sensor operator and the indices of the rows that called
+    ``green_value``, found from the distances each call was given."""
+    from helmscat import forward
+    green_value = forward.green_value
+    calls = []
+
+    def recording(k, r):
+        calls.append(np.array(r))
+        return green_value(k, r)
+
+    monkeypatch.setattr(forward, "green_value", recording)
+    G = sensor_green_operator(grid, sensors, k0, eta_b)
+    monkeypatch.undo()
+    x, y = (c.ravel() for c in grid.coords())
+    dist = np.hypot(sensors[:, 0, None] - x, sensors[:, 1, None] - y)
+    rows = [int(np.flatnonzero((dist == r).all(axis=1))[0]) for r in calls]
+    return G, rows
+
+
+def _max_relative_error(G, grid, sensors, k):
+    return max(float(np.max(np.abs(row - ref) / np.abs(ref)))
+               for row, ref in zip(G, _row_expression(grid, sensors, k)))
+
+
+def _square_images(row, s):
+    """The 8 images of an s-by-s row under the square's symmetries."""
+    a = row.reshape(s, s)
+    for flipped in (a, a[::-1], a[:, ::-1], a[::-1, ::-1]):
+        yield flipped
+        yield flipped.T
+
+
+def test_sensor_operator_blocks_match_full_expression(monkeypatch):
+    # the evaluated rows have the bytes of the whole M-by-N expression; a
+    # reused row is an image of an evaluated one, and the sensors, made by
+    # cos and sin, are images of each other only to within an ulp
     from helmscat.lis import green_value
     k0, eta_b = 2.0 * np.pi / 10.0, 1.3
-    for s, count in ((33, 40), (17, 400), (64, 400)):
+    for s, count, centre in ((33, 40, (0.0, 0.0)), (17, 400, (0.0, 0.0)),
+                             (64, 400, (0.0, 0.0)), (33, 40, (1.3, -0.7))):
         g = hs.Grid2D(s, 16.0, (-8.0, -8.0))
-        sensors = hs.make_circular_geometry(1, count, 40.0, 10.0).sensors
+        sensors = hs.make_circular_geometry(1, count, 40.0, 10.0,
+                                            center=centre).sensors
         x, y = g.coords()
         full = g.h**2 * green_value(k0 * eta_b,
                                     np.hypot(sensors[:, 0, None] - x.ravel(),
                                              sensors[:, 1, None] - y.ravel()))
-        G = sensor_green_operator(g, sensors, k0, eta_b)
+        G, rows = _built_with_evaluated_rows(monkeypatch, g, sensors, k0,
+                                             eta_b)
         assert G.shape == full.shape and G.dtype == full.dtype
-        assert G.tobytes() == full.tobytes()
+        assert G[rows].tobytes() == full[rows].tobytes()
+        assert np.max(np.abs(G - full) / np.abs(full)) <= 1e-13
+        if centre != (0.0, 0.0):
+            # no symmetric pair: every row is evaluated
+            assert len(rows) == count
+            for row, ref in zip(G, _row_expression(g, sensors, k0 * eta_b)):
+                assert row.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("s", [17, 33, 256])
+@pytest.mark.parametrize("count", [1, 3, 37, 40, 64])
+def test_sensor_operator_orbit_reuse_matches_direct_evaluation(s, count):
+    g = hs.Grid2D(s, 31.875, (-15.9375, -15.9375))
+    sensors = hs.make_circular_geometry(1, count, 40.0, 10.0).sensors
+    k0, eta_b = 2.0 * np.pi / 10.0, 1.3
+    G = sensor_green_operator(g, sensors, k0, eta_b)
+    assert _max_relative_error(G, g, sensors, k0 * eta_b) <= 1e-13
+
+
+def test_sensor_operator_orbit_reuse_on_a_grid_with_unequal_origins(
+        monkeypatch):
+    # the grid's centre is (6, 13): the circle around it has the orbits
+    # of the centred one
+    g = hs.Grid2D(33, 16.0, (-2.0, 5.0))
+    sensors = hs.make_circular_geometry(1, 40, 30.0, 10.0,
+                                        center=(6.0, 13.0)).sensors
+    G, rows = _built_with_evaluated_rows(monkeypatch, g, sensors, 0.9, 1.1)
+    assert rows == list(range(6))
+    assert _max_relative_error(G, g, sensors, 0.9 * 1.1) <= 1e-13
+
+
+def test_sensor_operator_at_random_angles(monkeypatch):
+    angles = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, 40)
+    sensors = 40.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    g = hs.Grid2D(33, 16.0, (-8.0, -8.0))
+    G, rows = _built_with_evaluated_rows(monkeypatch, g, sensors, 0.6, 1.0)
+    assert rows == list(range(40))
+    assert _max_relative_error(G, g, sensors, 0.6) <= 1e-13
+
+
+def test_sensor_operator_reused_rows_are_images_of_evaluated_rows(
+        monkeypatch):
+    s = 33
+    g = hs.Grid2D(s, 16.0, (-8.0, -8.0))
+    sensors = hs.make_circular_geometry(1, 40, 40.0, 10.0).sensors
+    G, rows = _built_with_evaluated_rows(monkeypatch, g, sensors, 0.6, 1.0)
+    images = {image.tobytes() for i in rows
+              for image in _square_images(G[i], s)}
+    for i in sorted(set(range(40)) - set(rows)):
+        assert G[i].reshape(s, s).tobytes() in images
+
+
+@pytest.mark.parametrize("centre, evaluations", [((0.0, 0.0), 6),
+                                                 ((1.3, -0.7), 40)])
+def test_sensor_operator_green_evaluations_per_orbit(monkeypatch, centre,
+                                                     evaluations):
+    # the workloads' acquisition: 40 sensors on a 40 cm circle around the
+    # 256^2 grid, whose 8 symmetries leave 6 distinct rows when centred
+    from helmscat import forward
+    calls = []
+    green_value = forward.green_value
+    monkeypatch.setattr(forward, "green_value",
+                        lambda k, r: calls.append(k) or green_value(k, r))
+    g = hs.Grid2D(256, 31.875, (-15.9375, -15.9375))
+    sensors = hs.make_circular_geometry(8, 40, 40.0, 10.0,
+                                        center=centre).sensors
+    sensor_green_operator(g, sensors, 2.0 * np.pi / 10.0, 1.0)
+    assert len(calls) == evaluations
 
 
 def test_sensor_operator_peak_memory_does_not_grow_with_sensors():

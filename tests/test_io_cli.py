@@ -301,6 +301,10 @@ def test_reconstruct_rejects_models_other_than_mgh(tmp_path, capsys, model,
 @pytest.mark.parametrize("command, line, needle", [
     ("simulate", "model = foo", "model must be mgh or lis, got 'foo'"),
     ("bench", "model = foo", "model must be mgh or lis, got 'foo'"),
+    ("simulate", "scene = blob",
+     "scene must be disk, phantom or file, got 'blob'"),
+    ("bench", "scene = blob",
+     "scene must be disk, phantom or file, got 'blob'"),
     ("bench", "bench_models = mgh, foo",
      "bench_models must be mgh or lis, got 'foo'")])
 def test_choice_keys_reject_unknown_names(tmp_path, capsys, command, line,

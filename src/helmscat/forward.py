@@ -209,14 +209,23 @@ class SolverConfig:
 def plane_wave(grid: Grid2D, direction: tuple[float, float], k0: float,
                eta_b: float, u0: complex = 1.0) -> np.ndarray:
     """Samples u0 * exp(j * k0 * eta_b * <direction, x>) on a Grid2D or an
-    extended grid, as the outer product of one exponential per axis."""
+    extended grid: the one-view case of :func:`_plane_waves`."""
     d = np.asarray(direction, dtype=float)
     if not np.isclose(np.hypot(*d), 1.0):
         raise ValueError("direction must be a unit vector")
+    return _plane_waves(grid, d[None], k0, eta_b, u0)[0]
+
+
+def _plane_waves(grid, directions: np.ndarray, k0: float, eta_b: float,
+                 u0: complex) -> np.ndarray:
+    """Stack of the plane waves of the unit ``directions`` (shape (V, 2)) on
+    ``grid``, each the outer product of one exponential per axis: two
+    (V, s) exponentials and one broadcast product."""
     k = k0 * eta_b
     steps = grid.h * np.arange(grid.points_per_side)
-    return np.outer(u0 * np.exp(1j * k * d[0] * (grid.origin[0] + steps)),
-                    np.exp(1j * k * d[1] * (grid.origin[1] + steps)))
+    ex = u0 * np.exp(1j * k * directions[:, :1] * (grid.origin[0] + steps))
+    ey = np.exp(1j * k * directions[:, 1:] * (grid.origin[1] + steps))
+    return ex[:, :, None] * ey[:, None, :]
 
 
 # The 8 symmetries of the square grid about its centre, as the signs
@@ -311,18 +320,17 @@ class _ForwardModel:
             rows[i, active[q]] = np.conj(r[i])
         return np.conj(rows @ g).reshape((len(views),) + self.f.shape)
 
+    def _incident_waves(self, grid, views) -> np.ndarray:
+        """Stack of the incident waves of ``views`` on ``grid``."""
+        g = self.scene.geometry
+        return _plane_waves(grid, g.directions[list(views)], self.scene.k0,
+                            self.scene.eta_b, g.u0)
+
     def predict(self, views) -> tuple[list[np.ndarray], list[SolveReport]]:
         """Predicted scattered-field measurements of each of ``views``,
         G (f u), and the reports of the total-field solves."""
         u, reports = self.fields(views)
         return self.measure(views, self.f * u), reports
-
-
-def _plane_waves(scene: ScatteringScene, grid, views) -> np.ndarray:
-    """Stack of the incident waves of ``views`` on ``grid``."""
-    g = scene.geometry
-    return np.stack([plane_wave(grid, g.directions[q], scene.k0, scene.eta_b,
-                                g.u0) for q in views])
 
 
 class HelmholtzForward(_ForwardModel):
@@ -393,12 +401,6 @@ class HelmholtzForward(_ForwardModel):
                 math.isfinite(r_norm) and r_norm <= self.cfg.tol * b_norm))
         return x, reports
 
-    def scattered_field(self, view: int) -> tuple[np.ndarray, SolveReport]:
-        """Scattered field of one view on the extended domain."""
-        u_sc, reports = self._solve(
-            self.f_ext * _plane_waves(self.scene, self.eg, [view]))
-        return u_sc[0], reports[0]
-
     def fields(self, views, warm=None
                ) -> tuple[np.ndarray, list[SolveReport]]:
         """Total fields of ``views`` on the region of interest, a stack of
@@ -409,7 +411,7 @@ class HelmholtzForward(_ForwardModel):
         multigrid path each view's solve starts from that view's scattered
         field stored there by an earlier call, if any, and stores its new
         one.  The direct path neither reads nor fills it."""
-        u_in = _plane_waves(self.scene, self.eg, views)
+        u_in = self._incident_waves(self.eg, views)
         u_sc, reports = self._solve(self.f_ext * u_in, warm,
                                     [("forward", q) for q in views])
         u_sc += u_in
@@ -466,7 +468,7 @@ class LisForward(_ForwardModel):
     def fields(self, views) -> tuple[np.ndarray, list[SolveReport]]:
         """Total fields of ``views`` on the region of interest, one Krylov
         solve per view, each written over its incident wave."""
-        u = _plane_waves(self.scene, self.scene.grid, views)
+        u = self._incident_waves(self.scene.grid, views)
         reports = []
         for u_i in u:
             u_i[...], report = solve_lis(self.scene.green_kernel, self.f, u_i,

@@ -12,6 +12,7 @@ so alpha = 1 on the region of interest and 1 - j*beta at the outer rim.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -134,21 +135,73 @@ class HelmholtzOperator:
             self._inv_diag = inv
         return self._inv_diag
 
-    def as_sparse(self) -> sparse.csc_matrix:
+    def as_sparse(self, pattern: StencilPattern | None = None
+                  ) -> sparse.csc_matrix:
         """Assembled matrix in row-major vector ordering (used for the exact
-        coarsest-level solve)."""
-        s = self.side
-        n = s * s
-        h2 = self.h**2
-        main = self._diag.ravel()
-        # neighbors along axis 1 (fast index) and axis 0 (stride s)
-        off1 = np.full(n - 1, -1.0 / h2)
-        off1[s - 1::s] = 0.0  # no coupling across row wrap
-        offs = np.full(n - s, -1.0 / h2)
-        A = sparse.diags(
-            [main, off1, off1, offs, offs],
-            [0, 1, -1, s, -s], format="csc", dtype=complex)
-        return A
+        coarsest-level solve), or, with a ``pattern`` of this side, the
+        matrix of the unknowns as that pattern numbers them: the pattern's
+        entries filled with -1/h^2 off the diagonal and with the operator's
+        diagonal.  The matrix owns its arrays."""
+        p = stencil_pattern(self.side) if pattern is None else pattern
+        n = self.side * self.side
+        data = np.full(p.indices.size, -1.0 / self.h**2, dtype=complex)
+        data[p.diagonal] = self._diag.ravel()
+        return sparse.csc_matrix((data, p.indices.copy(), p.indptr.copy()),
+                                 shape=(n, n))
+
+
+class StencilPattern:
+    """CSC structure of the 5-point matrix on an s-by-s grid, with no
+    coupling across row ends, for the unknowns numbered so that the
+    row-major unknown ``order[k]`` is unknown k.  ``diagonal[j]`` is the
+    position in the data of row-major unknown j's diagonal entry; every
+    other entry is an off-diagonal.  The arrays are made read-only."""
+
+    def __init__(self, order: np.ndarray, indptr: np.ndarray,
+                 indices: np.ndarray, diagonal: np.ndarray):
+        for a in (order, indptr, indices, diagonal):
+            a.flags.writeable = False
+        self.order, self.indptr = order, indptr
+        self.indices, self.diagonal = indices, diagonal
+
+    def renumbered(self, order: np.ndarray) -> StencilPattern:
+        """The pattern of the unknowns renumbered so that this pattern's
+        unknown ``order[k]`` is unknown k: column k is this pattern's column
+        ``order[k]``, its rows renumbered and kept in their sequence."""
+        order = np.asarray(order)
+        counts = np.diff(self.indptr)[order]
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(counts, out=indptr[1:])
+        # src[e]: the entry of this pattern that is entry e of the new one
+        src = (np.repeat(self.indptr[order] - indptr[:-1], counts)
+               + np.arange(indptr[-1], dtype=indptr.dtype))
+        moved = np.empty_like(src)
+        moved[src] = np.arange(src.size, dtype=src.dtype)
+        number = np.empty_like(self.indptr[1:])
+        number[order] = np.arange(order.size, dtype=number.dtype)
+        return StencilPattern(self.order[order], indptr,
+                              number[self.indices[src]],
+                              moved[self.diagonal])
+
+
+@functools.lru_cache(maxsize=8)
+def stencil_pattern(side: int) -> StencilPattern:
+    """The :class:`StencilPattern` of an s-by-s grid in row-major order,
+    each column's rows ascending, built once per side.  It is the structure
+    ``sparse.diags`` gives the matrix, except that a diagonal entry that is
+    exactly 0 stays in it as an explicit zero."""
+    s = side
+    n = s * s
+    j = np.arange(n, dtype=np.int32)
+    r, c = np.divmod(j, s)
+    # rows of column j, ascending: j - s, j - 1, j, j + 1, j + s
+    rows = j[:, None] + np.array([-s, -1, 0, 1, s], dtype=np.int32)
+    present = np.column_stack([r > 0, c > 0, np.ones(n, dtype=bool),
+                               c < s - 1, r < s - 1])
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    diagonal = indptr[:-1] + present[:, 0] + present[:, 1]
+    return StencilPattern(j, indptr, rows[present], diagonal)
 
 
 def assemble(eg: ExtendedGrid2D, eta_sq: np.ndarray, k0: float

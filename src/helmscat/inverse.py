@@ -103,18 +103,26 @@ def gradient_data_fidelity(scene: ScatteringScene, f: np.ndarray,
     return grad, fidelity, sum(r.work_units for r in reports + adjoint_reports)
 
 
-def _forward_diff(w: np.ndarray) -> np.ndarray:
-    """The gradient of ``w`` as one (2, s, s) stack: component 0 along
-    axis 0, component 1 along axis 1, each zero past its far edge."""
-    d = np.zeros((2,) + w.shape, dtype=w.dtype)
-    d[0, :-1, :] = w[1:, :] - w[:-1, :]
-    d[1, :, :-1] = w[:, 1:] - w[:, :-1]
-    return d
+def _forward_diff(w: np.ndarray, *, out: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """The gradient of ``w`` as one (2, s, s) stack, written into ``out``
+    when given: component 0 along axis 0, component 1 along axis 1, each
+    zero past its far edge."""
+    if out is None:
+        out = np.empty((2,) + w.shape, dtype=w.dtype)
+    np.subtract(w[1:, :], w[:-1, :], out=out[0, :-1, :])
+    out[0, -1, :] = 0.0
+    np.subtract(w[:, 1:], w[:, :-1], out=out[1, :, :-1])
+    out[1, :, -1] = 0.0
+    return out
 
 
-def _neg_divergence(p: np.ndarray) -> np.ndarray:
-    # adjoint of _forward_diff
-    out = np.zeros_like(p[0])
+def _neg_divergence(p: np.ndarray, *, out: np.ndarray | None = None
+                    ) -> np.ndarray:
+    """Adjoint of :func:`_forward_diff`, written into ``out`` when given."""
+    if out is None:
+        out = np.empty_like(p[0])
+    out.fill(0.0)
     out[:-1, :] -= p[0, :-1, :]
     out[1:, :] += p[0, :-1, :]
     out[:, :-1] -= p[1, :, :-1]
@@ -147,17 +155,30 @@ def _tv_prox_dual(w: np.ndarray, weight: float, inner_iters: int
     the nonnegative TV prox, ``weight > 0``: returns the primal point
     x = max(w - weight * D^T p, 0) and the dual p, a (2, s, s) stack like
     :func:`_forward_diff`'s with |p| <= 1 pointwise."""
-    p = np.zeros((2,) + w.shape, dtype=w.dtype)
-    b = p.copy()
+    dtype = np.result_type(w, np.float64)
+    p = np.zeros((2,) + w.shape, dtype=dtype)
+    b = p.copy()        # the extrapolated dual, then the step from it
+    p_new = np.empty_like(p)
+    grad = np.empty_like(p)
+    x, norm, norm_1 = np.empty((3,) + w.shape, dtype=dtype)
     t = 1.0
     for _ in range(inner_iters):
-        out = np.maximum(w - weight * _neg_divergence(b), 0.0)
-        c = b + _forward_diff(out) / (8.0 * weight)
-        p_new = c / np.maximum(1.0, np.sqrt(c[0] * c[0] + c[1] * c[1]))
+        # x = max(w - weight * D^T b, 0)
+        np.multiply(weight, _neg_divergence(b, out=x), out=x)
+        np.maximum(np.subtract(w, x, out=x), 0.0, out=x)
+        # a step along the dual gradient D x, projected onto |p| <= 1
+        np.divide(_forward_diff(x, out=grad), 8.0 * weight, out=grad)
+        c = np.add(b, grad, out=b)
+        np.multiply(c[0], c[0], out=norm)
+        norm += np.multiply(c[1], c[1], out=norm_1)
+        np.maximum(1.0, np.sqrt(norm, out=norm), out=norm)
+        np.divide(c, norm, out=p_new)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         mom = (t - 1.0) / t_new
-        b = p_new + mom * (p_new - p)
-        p, t = p_new, t_new
+        # b = p_new + mom * (p_new - p)
+        np.multiply(mom, np.subtract(p_new, p, out=b), out=b)
+        b += p_new
+        p, p_new, t = p_new, p, t_new
     return np.maximum(w - weight * _neg_divergence(p), 0.0), p
 
 

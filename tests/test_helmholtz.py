@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from helmscat import Grid2D, ExtendedGrid2D, build_extended_grid, assemble
-from helmscat.helmholtz import HelmholtzOperator, abl_profile
+from helmscat.helmholtz import HelmholtzOperator, abl_profile, stencil_pattern
 
 
 def _setup(s=9, abl=3, beta=0.2, levels=1, side=8.0, k0=1.0,
@@ -241,3 +242,47 @@ def test_mesh_size_whose_square_underflows_rejected():
     for h in (1e-200, 1e-160, 1e200):
         with pytest.raises(ValueError, match="h and k0 must be positive"):
             HelmholtzOperator(h, ones, ones.astype(complex), 1.0)
+
+
+def _diags_matrix(op):
+    # the 5-point matrix as sparse.diags builds it, the row-wrap couplings
+    # dropped
+    s = op.side
+    n = s * s
+    off1 = np.full(n - 1, -1.0 / op.h ** 2)
+    off1[s - 1::s] = 0.0
+    offs = np.full(n - s, -1.0 / op.h ** 2)
+    return sparse.diags([op.diagonal().ravel(), off1, off1, offs, offs],
+                        [0, 1, -1, s, -s], format="csc", dtype=complex)
+
+
+@pytest.mark.parametrize("s", [3, 5, 41, 73])
+def test_as_sparse_equals_diags_construction(s):
+    rng = np.random.default_rng(s)
+    alpha = 1.0 - 0.2j * rng.random((s, s))
+    op = HelmholtzOperator(0.3, 1.0 + rng.random((s, s)), alpha, 1.7)
+    A, ref = op.as_sparse(), _diags_matrix(op)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(A, name), getattr(ref, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    # the matrix owns its arrays: writing them leaves the next one intact
+    A.indices[:] = 0
+    np.testing.assert_array_equal(op.as_sparse().indices, ref.indices)
+
+
+def test_renumbered_pattern_assembles_the_permuted_matrix():
+    s = 9
+    rng = np.random.default_rng(3)
+    op = HelmholtzOperator(0.5, 1.0 + rng.random((s, s)),
+                           np.ones((s, s), dtype=complex), 1.2)
+    order = rng.permutation(s * s)
+    pattern = stencil_pattern(s).renumbered(order)
+    np.testing.assert_array_equal(pattern.order, order)
+    A = op.as_sparse(pattern)
+    dense = op.as_sparse().toarray()
+    np.testing.assert_array_equal(A.toarray(), dense[order][:, order])
+    # each column keeps its rows in row-major sequence
+    for k in range(s * s):
+        rows = order[A.indices[A.indptr[k]:A.indptr[k + 1]]]
+        assert np.all(np.diff(rows) > 0)

@@ -301,7 +301,9 @@ def test_gradient_warm_buffers_match_cold_and_hold_solutions():
     assert fid_warm == pytest.approx(fid_cold, rel=1e-6)
     # the forward buffers hold the scattered fields at f
     for q in (0, 2):
-        u_sc, _ = fwd.scattered_field(q)
+        u_in = hs.plane_wave(fwd.eg, scene.geometry.directions[q], scene.k0,
+                             scene.eta_b, scene.geometry.u0)
+        (u_sc,), _ = fwd._solve((fwd.f_ext * u_in)[None])
         assert np.linalg.norm(warm[("forward", q)] - u_sc) \
             <= 1e-6 * np.linalg.norm(u_sc)
 
@@ -425,7 +427,7 @@ def test_direct_gradient_matches_multigrid_gradient(monkeypatch):
 def test_direct_reconstruction_solve_and_wave_counts(monkeypatch):
     from helmscat import forward, krylov, multigrid
     scene, cfg, f_true, ms = _toy_problem()
-    calls = {"plane_wave": 0, "bicgstab": 0, "coarsest_solve": 0}
+    calls = {"_plane_waves": 0, "bicgstab": 0, "coarsest_solve": 0}
 
     def counting(owner, name):
         fn = getattr(owner, name)
@@ -435,16 +437,16 @@ def test_direct_reconstruction_solve_and_wave_counts(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(forward, "plane_wave")
+    counting(forward, "_plane_waves")
     counting(forward, "bicgstab")
     counting(multigrid.MgHierarchy, "coarsest_solve")
     assert krylov.bicgstab is not forward.bicgstab
     rc = hs.ReconstructionConfig(gamma=0.05, tau=1e-4, iterations=4,
                                  subset_size=2, seed=1, solver=cfg)
     hs.reconstruct_fbs(ms, scene, rc)
-    # one incident wave per view solved, one LU solve per direction and
-    # iteration, and no Krylov iterations around the exact solves
-    assert calls == {"plane_wave": rc.iterations * rc.subset_size,
+    # one incident-wave stack per forward solve, one LU solve per direction
+    # and iteration, and no Krylov iterations around the exact solves
+    assert calls == {"_plane_waves": rc.iterations,
                      "bicgstab": 0,
                      "coarsest_solve": 2 * rc.iterations}
 
@@ -460,3 +462,44 @@ def test_forward_diff_stacks_both_axes_and_its_adjoint():
     # <D w, p> = <w, D^T p>
     p = rng.standard_normal((2, 5, 6))
     assert np.sum(d * p) == pytest.approx(np.sum(w * _neg_divergence(p)))
+
+
+def _textbook_fgp(w, weight, inner_iters):
+    # Beck and Teboulle's fast gradient projection on the dual, with freshly
+    # allocated differences and steps
+    def grad(x):
+        d = np.zeros((2,) + x.shape)
+        d[0, :-1, :] = x[1:, :] - x[:-1, :]
+        d[1, :, :-1] = x[:, 1:] - x[:, :-1]
+        return d
+
+    def neg_div(q):
+        out = np.zeros(q.shape[1:])
+        out[:-1, :] -= q[0, :-1, :]
+        out[1:, :] += q[0, :-1, :]
+        out[:, :-1] -= q[1, :, :-1]
+        out[:, 1:] += q[1, :, :-1]
+        return out
+
+    p = np.zeros((2,) + w.shape)
+    b = p.copy()
+    t = 1.0
+    for _ in range(inner_iters):
+        x = np.maximum(w - weight * neg_div(b), 0.0)
+        c = b + grad(x) / (8.0 * weight)
+        p_new = c / np.maximum(1.0, np.sqrt(c[0] * c[0] + c[1] * c[1]))
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        b = p_new + ((t - 1.0) / t_new) * (p_new - p)
+        p, t = p_new, t_new
+    return np.maximum(w - weight * neg_div(p), 0.0), p
+
+
+@pytest.mark.parametrize("shape, weight, iters", [((5, 6), 0.3, 7),
+                                                  ((64, 64), 0.02, 50)])
+def test_tv_prox_dual_matches_textbook_loop(shape, weight, iters):
+    from helmscat.inverse import _tv_prox_dual
+    w = np.random.default_rng(11).standard_normal(shape)
+    x, p = _tv_prox_dual(w, weight, iters)
+    x_ref, p_ref = _textbook_fgp(w, weight, iters)
+    np.testing.assert_array_equal(x, x_ref)
+    np.testing.assert_array_equal(p, p_ref)

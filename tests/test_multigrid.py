@@ -460,3 +460,49 @@ def test_coarsen_operator_rejects_small_level():
     op = HelmholtzOperator(1.0, np.ones((3, 3)), np.ones((3, 3)), 1.0)
     with pytest.raises(ValueError, match="cannot coarsen"):
         coarsen_operator(op)
+
+
+def _disk_operator(index, beta):
+    # the 73^2 extended grid of a 64^2 region: the direct path
+    eg = build_extended_grid(Grid2D(64, 16.0, (-8.0, -8.0)), 4, beta, 2)
+    x = eg.origin[0] + eg.h * np.arange(eg.points_per_side)
+    eta_sq = np.where(np.hypot(x[:, None], x) <= 5.0, index ** 2, 1.0)
+    return assemble(eg, eta_sq, 2.0 * np.pi / 2.5)
+
+
+@pytest.mark.parametrize("index, beta", [(1.1, 0.0), (4.0, 0.15)])
+def test_kept_column_order_solves_bit_for_bit(index, beta):
+    # a second hierarchy of a side factors in the first one's column order,
+    # computing none, and solves as a fresh minimum-degree factorization
+    op = _disk_operator(index, beta)
+    s = op.side
+    n = s * s
+    assert s == 73
+    first = MgHierarchy(op, 1)
+    hier = MgHierarchy(op, 1)
+    np.testing.assert_array_equal(hier._coarse_lu.perm_c, np.arange(n))
+    lu = splu(op.as_sparse(), permc_spec="MMD_AT_PLUS_A", panel_size=4,
+              relax=1)
+    if index == 4.0:
+        # rows are pivoted away from the diagonal
+        assert np.any(lu.perm_r != lu.perm_c)
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((3, s, s)) + 1j * rng.standard_normal((3, s, s))
+    ref = lu.solve(b.reshape(3, n).T).T.reshape(b.shape)
+    np.testing.assert_array_equal(hier.coarsest_solve(b), ref)
+    np.testing.assert_array_equal(first.coarsest_solve(b), ref)
+    np.testing.assert_array_equal(hier.coarsest_solve(b[1]),
+                                  lu.solve(b[1].reshape(n, 1)).reshape(s, s))
+
+
+def test_first_factorization_of_a_side_orders_by_minimum_degree(monkeypatch):
+    monkeypatch.setattr(MgHierarchy, "_kept_orders", {})
+    op = _disk_operator(1.1, 0.0)
+    hier = MgHierarchy(op, 1)
+    lu = splu(op.as_sparse(), permc_spec="MMD_AT_PLUS_A", panel_size=4,
+              relax=1)
+    np.testing.assert_array_equal(hier._coarse_lu.perm_c, lu.perm_c)
+    pattern, number = MgHierarchy._kept_orders[op.side]
+    np.testing.assert_array_equal(number, lu.perm_c)
+    np.testing.assert_array_equal(pattern.order[number],
+                                  np.arange(op.side ** 2))

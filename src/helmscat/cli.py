@@ -236,6 +236,10 @@ def main(argv=None) -> int:
                         help="write real wall-clock timings instead of 0.0 "
                              "(makes outputs non-reproducible)")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}",
+              file=sys.stderr)
+        return 2
 
     out_dir = Path(args.out_dir)
     begun: list[Path] = []

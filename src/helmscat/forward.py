@@ -196,8 +196,9 @@ class SolverConfig:
             raise ValueError("omega must be in (0, 1]")
         if not self.cycle_type >= 1:
             raise ValueError("cycle_type must be at least 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < 1.0:
+            # the unsolved field's relative residual is 1: tol >= 1 passes it
+            raise ValueError("tol must be positive and less than 1")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
         if not self.abl_points >= 0:

@@ -40,6 +40,14 @@ def abl_profile(eg: ExtendedGrid2D) -> np.ndarray:
     return 1.0 - 1j * beta * d**2
 
 
+# apply() splits a complex field larger than this many bytes into equal
+# blocks of whole rows no larger than it, so that each block's passes over
+# u and out stay in a core's L2 cache.  Chosen from a sweep at 384-896 KiB
+# on a Xeon with 2 MiB of L2: 321^2 fields split in 3 blocks, every side up
+# to 221 takes one.
+_BLOCK_BYTES = 768 * 1024
+
+
 class HelmholtzOperator:
     """Stencil form of -laplacian - alpha*k0^2*eta^2 on one level of mesh
     size ``h``, whose side is that of the square ``eta_sq``."""
@@ -76,6 +84,9 @@ class HelmholtzOperator:
         # apply() works on h^2 * A and scales by 1/h^2 once at the end
         self._diag_h2 = diag * h2
         self._inv_h2 = 1.0 / h2
+        s = self.side
+        blocks = -(-s * s * diag.itemsize // _BLOCK_BYTES)
+        self._block_len = -(-s // blocks) * s   # flat length of a row block
         self._inv_diag = None
 
     @property
@@ -92,7 +103,10 @@ class HelmholtzOperator:
         axis 1 a flat shift by one also reaches across each row end, so the
         entries it wraps into are saved before and restored after; every
         entry then sees the same operations in the same order as the 2-D
-        stencil, and the result is bit-identical to it."""
+        stencil, and the result is bit-identical to it.  A field larger
+        than ``_BLOCK_BYTES`` is done one block of rows at a time, each
+        block reading the rows next to it from ``u``; every entry still sees
+        the same operations, so the result is the same bit for bit."""
         s = self.side
         if u.shape[-2:] != (s, s):
             raise ValueError(f"field shape {u.shape} does not match grid {s}")
@@ -102,19 +116,37 @@ class HelmholtzOperator:
               or not out.flags.c_contiguous or np.may_share_memory(out, u)):
             raise ValueError("out must be a separate C-contiguous complex "
                              "array of the field's shape")
-        np.multiply(self._diag_h2, u, out=out)
-        o = out.reshape(u.shape[:-2] + (-1,))
+        n = s * s
+        o = out.reshape(u.shape[:-2] + (n,))
         f = u.reshape(o.shape)
-        o[..., s:] -= f[..., :-s]
-        o[..., :-s] -= f[..., s:]
-        first = o[..., s::s].copy()        # column 0 of rows 1..s-1
-        o[..., 1:] -= f[..., :-1]
-        o[..., s::s] = first
-        last = o[..., s - 1:-1:s].copy()   # column s-1 of rows 0..s-2
-        o[..., :-1] -= f[..., 1:]
-        o[..., s - 1:-1:s] = last
-        out *= self._inv_h2
+        step = self._block_len
+        if step >= n:
+            self._stencil_rows(o, f, 0, n)   # the whole stack at once
+        else:
+            o, f = o.reshape(-1, n), f.reshape(-1, n)
+            for k in range(o.shape[0]):
+                for a in range(0, n, step):
+                    self._stencil_rows(o[k], f[k], a, min(a + step, n))
         return out
+
+    def _stencil_rows(self, o: np.ndarray, f: np.ndarray, a: int, b: int
+                      ) -> None:
+        """Flat entries a:b (whole rows) of A f into ``o``, for flattened
+        fields ``f`` that do not overlap ``o``; the rows next to the block
+        are read from ``f``."""
+        s, n = self.side, self.eta_sq.size
+        ob = o[..., a:b]
+        np.multiply(self._diag_h2.reshape(-1)[a:b], f[..., a:b], out=ob)
+        lo, hi = max(a, s), min(b, n - s)
+        o[..., lo:b] -= f[..., lo - s:b - s]
+        o[..., a:hi] -= f[..., a + s:hi + s]
+        first = o[..., a + s:b:s].copy()         # column 0 but the first row's
+        o[..., a + 1:b] -= f[..., a:b - 1]
+        o[..., a + s:b:s] = first
+        last = o[..., a + s - 1:b - 1:s].copy()  # column s-1 but the last row's
+        o[..., a:b - 1] -= f[..., a + 1:b]
+        o[..., a + s - 1:b - 1:s] = last
+        ob *= self._inv_h2
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         # The matrix is complex symmetric (all asymmetric boundary terms

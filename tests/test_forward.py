@@ -277,7 +277,9 @@ def test_scene_rejects_bad_background_index(eta_b):
     ("levels", 0, "levels"), ("nu1", -1, "nu1"), ("nu2", -1, "nu2"),
     ("omega", 0.0, "omega"), ("omega", 1.5, "omega"),
     ("omega", np.nan, "omega"), ("cycle_type", 0, "cycle_type"),
-    ("tol", 0.0, "tol"), ("tol", np.nan, "tol"), ("max_iter", 0, "max_iter"),
+    ("tol", 0.0, "tol"), ("tol", np.nan, "tol"),
+    ("tol", 1.0, "less than 1"), ("tol", 2.0, "less than 1"),
+    ("max_iter", 0, "max_iter"),
     ("abl_points", -1, "abl_points"), ("beta", -0.1, "beta")])
 def test_solver_config_rejects_bad_values(field, value, needle):
     with pytest.raises(ValueError, match=needle):

@@ -166,7 +166,12 @@ def _dyadic_operator(s):
                              np.ones((s, s), dtype=complex), 0.5)
 
 
-@pytest.mark.parametrize("s", [5, 17, 65])
+# sides past the one-block limit: the first side that splits (2 blocks of
+# 111 rows), one whose last block is a row short (112 + 111) and 321 (3 x 107)
+BLOCKED_SIDES = [222, 223, 321]
+
+
+@pytest.mark.parametrize("s", [5, 17, 65] + BLOCKED_SIDES)
 def test_apply_out_equals_sparse_bitwise(s):
     # exact arithmetic turns any neighbour that a flat shift wrongly reads
     # across a row end (or misses) into a visible difference
@@ -202,6 +207,35 @@ def test_flat_apply_bit_identical_to_strided_stencil(side):
     u = rng.standard_normal((se, se)) + 1j * rng.standard_normal((se, se))
     np.testing.assert_array_equal(op.apply(u), _strided_apply(op, u))
     np.testing.assert_array_equal(op.apply(u.real), _strided_apply(op, u.real))
+
+
+@pytest.mark.parametrize("s, rows", [(65, 65), (221, 221), (222, 111),
+                                     (223, 112), (321, 107)])
+def test_apply_row_blocks_are_sized_from_one_field(s, rows):
+    # fields up to 221^2 (764 KiB) take one block; larger ones split into
+    # equal blocks of whole rows, the last one shorter when s does not divide
+    op = _dyadic_operator(s)
+    assert op._block_len == rows * s
+
+
+@pytest.mark.parametrize("s", BLOCKED_SIDES)
+def test_blocked_apply_bit_identical_to_strided_stencil(s):
+    rng = np.random.default_rng(s)
+    op = HelmholtzOperator(8.0 / s, 1.0 + 0.3 * rng.random((s, s)),
+                           1.0 - 0.15j * rng.random((s, s)), 1.0)
+    u = (rng.standard_normal((2, s, s))
+         + 1j * rng.standard_normal((2, s, s)))
+    stacked = op.apply(u)
+    for i in range(2):
+        ref = _strided_apply(op, u[i])
+        np.testing.assert_array_equal(op.apply(u[i]), ref)
+        np.testing.assert_array_equal(stacked[i], ref)
+    np.testing.assert_array_equal(op.apply(u[0].real),
+                                  _strided_apply(op, u[0].real))
+    fortran = np.asfortranarray(u[1])
+    np.testing.assert_array_equal(op.apply(fortran), stacked[1])
+    np.testing.assert_array_equal(op.apply_adjoint(fortran),
+                                  np.conj(_strided_apply(op, np.conj(u[1]))))
 
 
 def test_apply_rejects_unusable_out():

@@ -230,6 +230,16 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert not (out / "reports.csv").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(tmp_path, capsys, threads):
+    cfg = _write(tmp_path, SIM)
+    out = tmp_path / "thout"
+    _assert_input_error(capsys, ["simulate", "--config", str(cfg),
+                                 "--out-dir", str(out), "--threads", threads],
+                        f"--threads must be at least 1, got {threads}")
+    assert not out.exists()
+
+
 def test_lis_model_simulate(tmp_path):
     cfg = _write(tmp_path, SIM + "model = lis\n")
     out = tmp_path / "out"
@@ -578,6 +588,8 @@ def test_negative_background_index(tmp_path, capsys):
     ("nu1 = -1", "nu1 and nu2 must be nonnegative"),
     ("nu2 = -1", "nu1 and nu2 must be nonnegative"),
     ("solver_tol = 0", "tol must be positive"),
+    ("solver_tol = 1", "tol must be positive and less than 1"),
+    ("solver_tol = 2", "tol must be positive and less than 1"),
     ("solver_max_iter = 0", "max_iter must be at least 1"),
     ("active_sensors = -1", "active_sensors must be nonnegative")])
 def test_solver_settings_checked_on_the_direct_path(tmp_path, capsys, line,

@@ -38,7 +38,13 @@ class AcquisitionGeometry:
     u0: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        d = np.asarray(self.directions, dtype=float)
+        # stored as arrays, so that lists are taken too
+        object.__setattr__(self, "directions",
+                           np.asarray(self.directions, dtype=float))
+        object.__setattr__(self, "sensors",
+                           np.asarray(self.sensors, dtype=float))
+        object.__setattr__(self, "active", np.asarray(self.active))
+        d = self.directions
         if d.ndim != 2 or d.shape[1] != 2:
             raise ValueError(f"directions must have shape (Q, 2), "
                              f"got {d.shape}")

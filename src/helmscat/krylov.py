@@ -73,13 +73,10 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000):
 
     report = SolveReport(iterations=0, residual_history=[r_norm])
     threshold = tol * b_norm
-    if not math.isfinite(r_norm):
-        return x, report
-    if r_norm <= threshold:
-        report.converged = True
-        return x, report
-
-    for it in range(1, max_iter + 1):
+    while (math.isfinite(r_norm) and r_norm > threshold
+           and report.iterations < max_iter):
+        report.iterations += 1
+        it = report.iterations
         rho = np.vdot(r_hat, r)
         scale = r_hat_norm * r_norm
         if abs(rho) < BREAKDOWN_TOL * max(scale, 1e-300):
@@ -101,19 +98,14 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000):
         # s is finite, so a failed half-step returns the previous iterate
         np.multiply(alpha, v, out=prod)
         s = np.subtract(r, prod, out=r)
-        s_norm = float(np.linalg.norm(s))
-        if not math.isfinite(s_norm):
-            report.iterations = it
-            report.residual_history.append(s_norm)
-            break
-        np.multiply(alpha, y, out=prod)
-        np.add(x, prod, out=x)
-        if s_norm <= threshold:
-            # half-step already converged; the stabilization solve would
-            # divide by <t,t> ~ 0
-            report.iterations = it
-            report.residual_history.append(s_norm)
-            report.converged = True
+        r_norm = float(np.linalg.norm(s))
+        if math.isfinite(r_norm):
+            np.multiply(alpha, y, out=prod)
+            np.add(x, prod, out=x)
+        if not (math.isfinite(r_norm) and r_norm > threshold):
+            # a non-finite or already converged half-step; the
+            # stabilization solve would divide by <t,t> ~ 0
+            report.residual_history.append(r_norm)
             break
         z = apply_M(s)
         t = apply_A(z)
@@ -128,12 +120,7 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000):
         np.subtract(r, prod, out=r)
         rho_prev = rho
         r_norm = float(np.linalg.norm(r))
-        report.iterations = it
         report.residual_history.append(r_norm)
-        if not math.isfinite(r_norm):
-            break
-        if r_norm <= threshold:
-            report.converged = True
-            break
 
+    report.converged = math.isfinite(r_norm) and r_norm <= threshold
     return x, report

@@ -163,8 +163,12 @@ def solve_lis(kernel: GreenKernel, f: np.ndarray, u_in: np.ndarray,
     Its residual on the grid is then the window residual, so the window
     solve stops at ||r_B|| <= tol * ||u_in||, the full solve's own test.
     A window as large as the grid is solved on the grid's own kernel, and
-    ``f = 0`` returns ``u_in`` with no iteration."""
+    ``f = 0`` returns ``u_in`` with no iteration.  ``tol`` must lie in
+    (0, 1); the window solve's own tolerance may exceed 1."""
     s = kernel.side
+    if not 0.0 < tol < 1.0:
+        # the unsolved field's relative residual is 1: tol >= 1 passes it
+        raise ValueError("tol must be positive and less than 1")
     if f.shape != (s, s) or u_in.shape != (s, s):
         raise ValueError("f and u_in must live on the kernel grid")
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(u_in))):

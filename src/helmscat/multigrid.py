@@ -188,6 +188,10 @@ class MgHierarchy:
             raise ValueError("need at least one level")
         if cycle_type < 1:
             raise ValueError("cycle_type must be >= 1")
+        if nu1 < 0 or nu2 < 0:
+            raise ValueError("sweeps must be nonnegative")
+        if not 0.0 < omega <= 1.0:
+            raise ValueError("omega must be in (0, 1]")
         self.nu1, self.nu2, self.omega = nu1, nu2, omega
         self.cycle_type = cycle_type
         self.levels = [fine_op]

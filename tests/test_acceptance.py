@@ -6,8 +6,6 @@ plain run shows the scoreboard:
     CRITERION n (<short description>): PASS|FAIL <details>
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -20,8 +18,6 @@ from helmscat.inverse import (_forward_diff, _tv_prox_dual, tv_prox,
 from helmscat.lis import apply_green_convolution
 from helmscat.multigrid import (lfa_symbols, prolong_bilinear,
                                 restrict_full_weighting)
-
-warnings.filterwarnings("ignore", message=".*points per wavelength.*")
 
 LAM = 10.0
 K0 = 2.0 * np.pi / LAM

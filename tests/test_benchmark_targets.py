@@ -80,8 +80,6 @@ def test_traced_sizes_of_operator_builds_and_sweeps():
     # the size column is the side of the first grid argument: for an
     # operator build it is read from eta_sq, for a Jacobi sweep from the
     # operator; a 41^2, 3-level hierarchy has sides 41, 21 and 11
-    import warnings
-
     import numpy as np
 
     import helmscat as hs
@@ -92,8 +90,7 @@ def test_traced_sizes_of_operator_builds_and_sweeps():
     se = eg.points_per_side
     assert se == 41
     tracer = tracing.Tracer()
-    with tracer.installed(), warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
+    with tracer.installed():
         hier = hs.MgHierarchy(hs.assemble(eg, np.ones((se, se)), 0.5), 3)
         hs.mg_cycle(hier, np.ones((se, se), dtype=complex), None)
 

@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -7,13 +6,6 @@ from scipy.special import hankel1
 
 import helmscat as hs
 from helmscat.forward import LisForward, sensor_green_operator
-
-
-@pytest.fixture(autouse=True)
-def _quiet_coarse_warning():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        yield
 
 
 def _small_scene(s=33, side=16.0, views=2, sensors=8, radius=40.0, lam=10.0):
@@ -569,6 +561,22 @@ def test_geometry_rejects_malformed_fields(field, bad, needle):
     geom = hs.make_circular_geometry(2, 6, 40.0, 10.0, active_count=3)
     with pytest.raises(ValueError, match=needle):
         dataclasses.replace(geom, **{field: bad(geom)})
+
+
+def test_geometry_from_lists_stores_arrays():
+    ref = hs.make_circular_geometry(2, 6, 40.0, 10.0, active_count=3)
+    geom = hs.AcquisitionGeometry(ref.directions.tolist(),
+                                  ref.sensors.tolist(), ref.active.tolist(),
+                                  ref.wavelength)
+    assert geom.num_views == 2
+    for name in ("directions", "sensors", "active"):
+        np.testing.assert_array_equal(getattr(geom, name),
+                                      getattr(ref, name))
+    assert geom.directions.dtype == geom.sensors.dtype == np.float64
+    # arrays pass through as they are
+    same = dataclasses.replace(ref)
+    assert same.directions is ref.directions
+    assert same.sensors is ref.sensors
 
 
 def test_geometry_accepts_every_sensor_active():

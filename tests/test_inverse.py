@@ -1,4 +1,3 @@
-import warnings
 
 import numpy as np
 import pytest
@@ -7,13 +6,6 @@ import helmscat as hs
 from helmscat.forward import sensor_green_operator
 from helmscat.inverse import (_forward_diff, _neg_divergence, select_subset,
                               tv_prox, tv_value)
-
-
-@pytest.fixture(autouse=True)
-def _quiet_coarse_warning():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        yield
 
 
 def test_tv_value_by_hand():

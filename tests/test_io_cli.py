@@ -8,13 +8,6 @@ from helmscat import io
 from helmscat.cli import main
 
 
-@pytest.fixture(autouse=True)
-def _quiet_coarse_warning():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        yield
-
-
 # ---------- field binaries ----------
 
 def test_field_round_trip_real(tmp_path):

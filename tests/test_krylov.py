@@ -94,6 +94,17 @@ def test_argument_validation():
         bicgstab(lambda v: v, b, max_iter=0)
 
 
+def test_inf_rhs_stops_at_once():
+    # inf <= inf: an infinite right-hand side meets its own threshold, so
+    # only the finiteness test keeps it from being reported as converged
+    b = np.ones(4, dtype=complex)
+    b[1] = np.inf
+    x, report = bicgstab(lambda v: 2.0 * v, b, tol=1e-10, max_iter=50)
+    assert not report.converged
+    assert report.iterations == 0
+    assert report.residual_history == [np.inf]
+
+
 def test_half_step_exit():
     # A = I converges at the half step (s = 0 exactly); the stabilization
     # denominator <t, t> would vanish if the iteration continued
@@ -240,7 +251,6 @@ def test_in_place_updates_with_aliasing_operators():
     _assert_matches_textbook(lambda v: A @ v, b)
 
 
-@pytest.mark.filterwarnings("ignore:coarsest level has")
 def test_multigrid_preconditioned_bit_identical_to_textbook_loop():
     from helmscat import Grid2D, MgHierarchy, assemble, build_extended_grid
     g = Grid2D(17, 16.0, (0.0, 0.0))

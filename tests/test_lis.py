@@ -404,3 +404,13 @@ def test_solve_rejects_non_finite_input(bad):
     (f if bad == "f" else u_in)[0, 0] = np.nan
     with pytest.raises(ValueError, match="must be finite"):
         solve_lis(kernel, f, u_in)
+
+
+@pytest.mark.parametrize("tol", [1.0, 2.0])
+def test_solve_rejects_tol_of_one_or_more(tol):
+    # the unsolved window has relative residual 1, so it would pass as
+    # converged in 0 iterations
+    g, kernel, u_in, contrast = _window_problem()
+    f = _support(33, slice(12, 21), slice(12, 21), contrast)
+    with pytest.raises(ValueError, match="tol must be positive and less"):
+        solve_lis(kernel, f, u_in, tol=tol)

@@ -82,6 +82,21 @@ def test_damped_jacobi_validation():
         damped_jacobi(op, b, b, 0.8, -1)
 
 
+@pytest.mark.parametrize("kwargs, needle", [
+    ({"nu1": -1}, "sweeps must be nonnegative"),
+    ({"nu2": -1}, "sweeps must be nonnegative"),
+    ({"omega": 0.0}, r"omega must be in \(0, 1\]"),
+    ({"omega": 1.5}, r"omega must be in \(0, 1\]"),
+    ({"omega": np.nan}, r"omega must be in \(0, 1\]"),
+])
+def test_hierarchy_rejects_bad_smoothing(kwargs, needle):
+    # at construction, as a bad n_levels or cycle_type is, not at the
+    # first cycle
+    eg, op = _operator(s=17, abl=4, levels=2, k0=0.5)
+    with pytest.raises(ValueError, match=needle):
+        MgHierarchy(op, 2, **kwargs)
+
+
 def test_coarse_operator_background_ring():
     eg, op = _operator(beta=0.1)
     op_c = coarsen_operator(op)
@@ -105,9 +120,7 @@ def test_work_unit_meter():
 def test_cycle_work_under_geometric_bound():
     # smoother work of one cycle stays below (4/3)*(nu1+nu2) fine-grid sweeps
     eg, op = _operator(s=33, abl=4, levels=3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hier = MgHierarchy(op, 3, nu1=1, nu2=1, omega=0.8)
+    hier = MgHierarchy(op, 3, nu1=1, nu2=1, omega=0.8)
     se = eg.points_per_side
     b = np.ones((se, se), dtype=complex)
     mg_cycle(hier, b, np.zeros_like(b))
@@ -116,9 +129,7 @@ def test_cycle_work_under_geometric_bound():
 
 def test_cycle_reduces_residual():
     eg, op = _operator(s=17, abl=4, levels=2, k0=0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hier = MgHierarchy(op, 2)
+    hier = MgHierarchy(op, 2)
     se = eg.points_per_side
     rng = np.random.default_rng(2)
     b = rng.standard_normal((se, se)) + 1j * rng.standard_normal((se, se))
@@ -128,10 +139,8 @@ def test_cycle_reduces_residual():
 
 def test_w_cycle_at_least_as_good_as_v():
     eg, op = _operator(s=17, abl=4, levels=2, k0=0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hv = MgHierarchy(op, 2, cycle_type=1)
-        hw = MgHierarchy(op, 2, cycle_type=2)
+    hv = MgHierarchy(op, 2, cycle_type=1)
+    hw = MgHierarchy(op, 2, cycle_type=2)
     se = eg.points_per_side
     rng = np.random.default_rng(3)
     b = rng.standard_normal((se, se)) + 1j * rng.standard_normal((se, se))
@@ -142,9 +151,7 @@ def test_w_cycle_at_least_as_good_as_v():
 
 def test_preconditioned_solve_matches_dense():
     eg, op = _operator(s=17, abl=4, levels=2, k0=0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hier = MgHierarchy(op, 2)
+    hier = MgHierarchy(op, 2)
     se = eg.points_per_side
     rng = np.random.default_rng(4)
     b = rng.standard_normal((se, se)) + 1j * rng.standard_normal((se, se))
@@ -216,9 +223,7 @@ def test_damped_jacobi_leaves_initial_guess_untouched():
 @pytest.mark.parametrize("cycle_type", [1, 2])
 def test_mg_cycle_zero_guess_matches_zero_array(cycle_type):
     eg, op = _operator(s=33, abl=4, levels=3, k0=0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hier = MgHierarchy(op, 3, cycle_type=cycle_type)
+    hier = MgHierarchy(op, 3, cycle_type=cycle_type)
     se = eg.points_per_side
     rng = np.random.default_rng(7)
     b = rng.standard_normal((se, se)) + 1j * rng.standard_normal((se, se))
@@ -266,9 +271,7 @@ def test_coarsest_solve_accurate_at_high_contrast():
     x = (np.arange(se) - se // 2) * eg.h
     xx, yy = np.meshgrid(x, x, indexing="ij")
     eta_sq = np.where(np.hypot(xx, yy) <= 12.5, 5.0, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        hier = MgHierarchy(assemble(eg, eta_sq, 2.0 * np.pi / 10.0), 3)
+    hier = MgHierarchy(assemble(eg, eta_sq, 2.0 * np.pi / 10.0), 3)
     coarsest = hier.levels[-1]
     assert coarsest.side == 81
     rng = np.random.default_rng(4)
@@ -285,9 +288,7 @@ def _random_field(rng, s):
 @pytest.mark.parametrize("levels", [1, 3])
 def test_preconditioner_results_are_separate_arrays(levels):
     eg, op = _operator(s=33, abl=4, levels=3, k0=0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hier = MgHierarchy(op, levels)
+    hier = MgHierarchy(op, levels)
     apply_m = hier.as_preconditioner()
     se = eg.points_per_side
     rng = np.random.default_rng(8)
@@ -355,9 +356,7 @@ def _reference_cycle(hier, b, v, level=0):
 @pytest.mark.parametrize("nu", [1, 2])
 def test_cycle_matches_reference_cycle(cycle_type, nu):
     eg, op = _operator(s=33, abl=4, levels=3, k0=0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hier = MgHierarchy(op, 3, nu1=nu, nu2=nu, cycle_type=cycle_type)
+    hier = MgHierarchy(op, 3, nu1=nu, nu2=nu, cycle_type=cycle_type)
     se = eg.points_per_side
     rng = np.random.default_rng(9)
     b = _random_field(rng, se)

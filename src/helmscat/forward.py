@@ -393,8 +393,10 @@ class HelmholtzForward(_ForwardModel):
                                             self.cfg.max_iter)
                 report.work_units = self.hier.meter.total - wu0
                 reports.append(report)
-                if warm is not None:
-                    warm.setdefault(keys[i], np.empty_like(b_i))[...] = b_i
+                if x0 is not None:
+                    x0[...] = b_i
+                elif warm is not None:
+                    warm[keys[i]] = b_i.copy()
             return b, reports
         x = self.hier.coarsest_solve(b)
         r = self.op.apply(x)
@@ -418,11 +420,12 @@ class HelmholtzForward(_ForwardModel):
         multigrid path each view's solve starts from that view's scattered
         field stored there by an earlier call, if any, and stores its new
         one.  The direct path neither reads nor fills it."""
-        u_in = self._incident_waves(self.eg, views)
-        u_sc, reports = self._solve(self.f_ext * u_in, warm,
-                                    [("forward", q) for q in views])
-        u_sc += u_in
-        return restrict_to_roi(u_sc, self.eg), reports
+        b = self._incident_waves(self.eg, views)
+        u = restrict_to_roi(b, self.eg)
+        b *= self.f_ext
+        u_sc, reports = self._solve(b, warm, [("forward", q) for q in views])
+        u += u_sc[(...,) + self.eg.inner_slice]
+        return u, reports
 
     def total_field(self, view: int) -> tuple[np.ndarray, SolveReport]:
         """Total field of one view, the one-view case of :meth:`fields`."""

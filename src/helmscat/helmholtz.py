@@ -185,35 +185,31 @@ class HelmholtzOperator:
 class StencilPattern:
     """CSC structure of the 5-point matrix on an s-by-s grid, with no
     coupling across row ends, for the unknowns numbered so that the
-    row-major unknown ``order[k]`` is unknown k.  ``diagonal[j]`` is the
-    position in the data of row-major unknown j's diagonal entry; every
-    other entry is an off-diagonal.  The arrays are made read-only."""
+    row-major unknown ``order[k]`` is unknown k, and ``number[j]`` is the
+    number of row-major unknown j.  Column k holds the rows j - s, j - 1,
+    j, j + 1 and j + s of j = ``order[k]`` that lie on the grid, in that
+    row-major sequence, renumbered.  ``diagonal[j]`` is the position in the
+    data of row-major unknown j's diagonal entry; every other entry is an
+    off-diagonal.  The arrays are read-only."""
 
-    def __init__(self, order: np.ndarray, indptr: np.ndarray,
-                 indices: np.ndarray, diagonal: np.ndarray):
-        for a in (order, indptr, indices, diagonal):
+    def __init__(self, side: int, order: np.ndarray):
+        s = side
+        n = s * s
+        order = np.array(order, dtype=np.int32)
+        number = np.empty(n, dtype=np.int32)
+        number[order] = np.arange(n, dtype=np.int32)
+        r, c = np.divmod(order, s)
+        rows = order[:, None] + np.array([-s, -1, 0, 1, s], dtype=np.int32)
+        present = np.column_stack([r > 0, c > 0, np.ones(n, dtype=bool),
+                                   c < s - 1, r < s - 1])
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(present.sum(axis=1), out=indptr[1:])
+        diagonal = np.empty(n, dtype=np.int32)
+        diagonal[order] = indptr[:-1] + present[:, 0] + present[:, 1]
+        self.order, self.number, self.indptr = order, number, indptr
+        self.indices, self.diagonal = number[rows[present]], diagonal
+        for a in (order, number, indptr, self.indices, diagonal):
             a.flags.writeable = False
-        self.order, self.indptr = order, indptr
-        self.indices, self.diagonal = indices, diagonal
-
-    def renumbered(self, order: np.ndarray) -> StencilPattern:
-        """The pattern of the unknowns renumbered so that this pattern's
-        unknown ``order[k]`` is unknown k: column k is this pattern's column
-        ``order[k]``, its rows renumbered and kept in their sequence."""
-        order = np.asarray(order)
-        counts = np.diff(self.indptr)[order]
-        indptr = np.zeros_like(self.indptr)
-        np.cumsum(counts, out=indptr[1:])
-        # src[e]: the entry of this pattern that is entry e of the new one
-        src = (np.repeat(self.indptr[order] - indptr[:-1], counts)
-               + np.arange(indptr[-1], dtype=indptr.dtype))
-        moved = np.empty_like(src)
-        moved[src] = np.arange(src.size, dtype=src.dtype)
-        number = np.empty_like(self.indptr[1:])
-        number[order] = np.arange(order.size, dtype=number.dtype)
-        return StencilPattern(self.order[order], indptr,
-                              number[self.indices[src]],
-                              moved[self.diagonal])
 
 
 @functools.lru_cache(maxsize=8)
@@ -222,18 +218,7 @@ def stencil_pattern(side: int) -> StencilPattern:
     each column's rows ascending, built once per side.  It is the structure
     ``sparse.diags`` gives the matrix, except that a diagonal entry that is
     exactly 0 stays in it as an explicit zero."""
-    s = side
-    n = s * s
-    j = np.arange(n, dtype=np.int32)
-    r, c = np.divmod(j, s)
-    # rows of column j, ascending: j - s, j - 1, j, j + 1, j + s
-    rows = j[:, None] + np.array([-s, -1, 0, 1, s], dtype=np.int32)
-    present = np.column_stack([r > 0, c > 0, np.ones(n, dtype=bool),
-                               c < s - 1, r < s - 1])
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1), out=indptr[1:])
-    diagonal = indptr[:-1] + present[:, 0] + present[:, 1]
-    return StencilPattern(j, indptr, rows[present], diagonal)
+    return StencilPattern(side, np.arange(side * side))
 
 
 def assemble(eg: ExtendedGrid2D, eta_sq: np.ndarray, k0: float

@@ -213,14 +213,12 @@ class MgHierarchy:
                      for fine, coarse in zip(self.levels, self.levels[1:])]
 
     # per grid side, the pattern numbered as the side's first factorization
-    # orders its columns, and each row-major unknown's number in it
-    _kept_orders: dict[int, tuple[StencilPattern, np.ndarray]] = {}
+    # orders its columns
+    _kept_orders: dict[int, StencilPattern] = {}
 
-    def _factor(self, op: HelmholtzOperator
-                ) -> tuple[StencilPattern, np.ndarray] | None:
+    def _factor(self, op: HelmholtzOperator) -> StencilPattern:
         """Factors ``op`` into ``self._coarse_lu``; returns the pattern it
-        was assembled in, with each row-major unknown's number there, or
-        None for the row-major numbering.
+        was assembled in, whose numbering the factor solves in.
 
         Minimum-degree ordering on A^T + A suits the symmetric 5-point
         pattern: 20-40% less fill than COLAMD at 37^2-81^2 and a faster
@@ -232,52 +230,48 @@ class MgHierarchy:
         The column order SuperLU settles on, the ordering and then the
         postorder of its elimination tree, depends on the pattern alone,
         which every operator of a side shares.  So the first factorization
-        of a side keeps it, and later operators of that side are assembled
-        with their unknowns numbered in that order and factored as they
-        stand, with no ordering computed.  The renumbering is symmetric, so
-        that SuperLU's preference for the diagonal pivot on a tie finds the
-        same entry, and each column keeps its rows in their row-major
-        sequence, the sequence its pivot search walks; the factors, and
-        every solve, are then bit for bit those of a fresh factorization."""
+        of a side, in row-major order, keeps it, and later operators of
+        that side are assembled with their unknowns numbered in that order
+        and factored as they stand, with no ordering computed.  The
+        renumbering is symmetric, so that SuperLU's preference for the
+        diagonal pivot on a tie finds the same entry, and each column keeps
+        its rows in their row-major sequence, the sequence its pivot search
+        walks; the factors, and every solve, are then bit for bit those of
+        a fresh factorization."""
         kept = MgHierarchy._kept_orders.get(op.side)
-        if kept is None:
-            self._coarse_lu = splu(op.as_sparse(),
-                                   permc_spec="MMD_AT_PLUS_A", panel_size=4,
-                                   relax=1)
-            # SuperLU's perm_c gives each unknown's column in A Pc
-            number = self._coarse_lu.perm_c.copy()
-            MgHierarchy._kept_orders[op.side] = (
-                stencil_pattern(op.side).renumbered(np.argsort(number)),
-                number)
-            return None
-        A = op.as_sparse(kept[0])
-        # a column's rows are not ascending in the new numbering; marked
-        # canonical, splu keeps their sequence instead of sorting them
+        pattern = stencil_pattern(op.side) if kept is None else kept
+        A = op.as_sparse(pattern)
+        # a column's rows are not ascending in a kept numbering; marked
+        # canonical, as the row-major matrix is, splu keeps their sequence
+        # instead of sorting them
         A.has_canonical_format = True
-        self._coarse_lu = splu(A, permc_spec="NATURAL", panel_size=4,
-                               relax=1)
-        return kept
+        self._coarse_lu = splu(
+            A, permc_spec="MMD_AT_PLUS_A" if kept is None else "NATURAL",
+            panel_size=4, relax=1)
+        if kept is None:
+            # SuperLU's perm_c gives each unknown's column in A Pc
+            MgHierarchy._kept_orders[op.side] = StencilPattern(
+                op.side, np.argsort(self._coarse_lu.perm_c))
+        return pattern
 
     def coarsest_solve(self, b: np.ndarray) -> np.ndarray:
         """Exact solve on the coarsest level, for one field or a stack of
         fields (shape (..., s, s)): a stack goes to SuperLU as one
         multi-column solve, each field a Fortran-ordered column, and every
-        column comes out bit-identical to its own single solve.  A factor
-        of renumbered unknowns (see :meth:`_factor`) solves for the
-        right-hand sides renumbered, and its solutions are put back in
-        row-major order."""
-        s = self.levels[-1].side
-        x = b.reshape(-1, s * s)
-        if self._coarse_pattern is None:
-            return self._coarse_lu.solve(x.T).T.reshape(b.shape)
-        pattern, number = self._coarse_pattern
+        column comes out bit-identical to its own single solve.  A real
+        field solves as a complex one.  The factor solves for the right-hand
+        sides numbered as its pattern numbers the unknowns (see
+        :meth:`_factor`), and its solutions are put back in row-major
+        order."""
+        p = self._coarse_pattern
         # SuperLU solves a copy of its right-hand sides, so the renumbered
-        # ones can take the solution back in row-major order.  The indices
-        # are permutations, always in range: "clip" spares the check, and
-        # the copy that "raise" makes of an ``out``
-        renumbered = np.take(x, pattern.order, axis=1, mode="clip")
-        x = self._coarse_lu.solve(renumbered.T).T
-        return np.take(x, number, axis=1, out=renumbered,
+        # ones, complex, can take the solution back in row-major order.  The
+        # indices are permutations, always in range: "clip" spares the
+        # check, and the copy that "raise" makes of an ``out``
+        x = np.take(np.asarray(b, dtype=complex).reshape(-1, p.order.size),
+                    p.order, axis=1, mode="clip")
+        y = self._coarse_lu.solve(x.T).T
+        return np.take(y, p.number, axis=1, out=x,
                        mode="clip").reshape(b.shape)
 
     def as_preconditioner(self):

@@ -437,6 +437,39 @@ def test_warm_adjoint_solve_matches_cold_and_fills_buffer():
 
 
 @pytest.mark.usefixtures("multigrid_path")
+def test_filled_warm_slots_are_written_in_place(monkeypatch):
+    # once every view's slot holds a guess, a round of forward and adjoint
+    # solves allocates no new slot
+    from helmscat import forward
+    scene = _small_scene(views=3)
+    x, y = scene.grid.coords()
+    f = np.where(np.hypot(x, y) <= 5.0, scene.k0 ** 2 * 0.3, 0.0)
+    fwd = hs.HelmholtzForward(scene, f, hs.SolverConfig(
+        abl_points=4, beta=0.15, levels=2))
+    assert fwd.eg.points_per_side == 41
+    r = np.ones((3, 8), dtype=complex)
+    warm = {}
+    fwd.fields(range(3), warm)
+    fwd.adjoint(range(3), r, warm)
+    slots = dict(warm)
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty_like(self, *args, **kwargs):
+            calls.append(args)
+            return np.empty_like(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "np", CountingNumpy())
+    fwd.fields(range(3), warm)
+    fwd.adjoint(range(3), r, warm)
+    assert len(calls) == 0
+    assert all(warm[key] is slot for key, slot in slots.items())
+
+
+@pytest.mark.usefixtures("multigrid_path")
 def test_zero_warm_buffer_equals_cold_start():
     scene, f, cfg = _warm_problem()
     fwd = hs.HelmholtzForward(scene, f, cfg)
@@ -494,10 +527,12 @@ def test_lis_fields_written_over_incident_waves(monkeypatch):
 
 @pytest.mark.usefixtures("multigrid_path")
 def test_batched_fields_peak_memory():
-    # fields(range(V)) holds the incident-wave and right-hand-side stacks,
-    # 2 V fields of the extended grid, and the work of one view's
-    # Bi-CGSTAB solve and multigrid cycle: 12 more fields on this 41^2
-    # grid, under the bound of 14; the solutions add no stack of their own
+    # fields(range(V)) holds one stack of V extended fields, the incident
+    # waves that become the right-hand sides and then the solutions, the
+    # stack of the incident waves on the region of interest, V (s/se)^2
+    # extended fields, and the work of one view's Bi-CGSTAB solve and
+    # multigrid cycle: 12 more fields on this 41^2 grid, under the bound
+    # of 14
     import tracemalloc
     views = 16
     scene = _small_scene(views=views)
@@ -513,7 +548,8 @@ def test_batched_fields_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (2 * views + 14) * field_bytes
+    roi_share = (scene.grid.points_per_side / fwd.eg.points_per_side) ** 2
+    assert peak <= ((1 + roi_share) * views + 14) * field_bytes
 
 
 def test_geometry_rejects_a_radius_whose_distances_overflow():

@@ -3,7 +3,8 @@ import pytest
 from scipy import sparse
 
 from helmscat import Grid2D, ExtendedGrid2D, build_extended_grid, assemble
-from helmscat.helmholtz import HelmholtzOperator, abl_profile, stencil_pattern
+from helmscat.helmholtz import (HelmholtzOperator, StencilPattern,
+                                abl_profile)
 
 
 def _setup(s=9, abl=3, beta=0.2, levels=1, side=8.0, k0=1.0,
@@ -311,8 +312,12 @@ def test_renumbered_pattern_assembles_the_permuted_matrix():
     op = HelmholtzOperator(0.5, 1.0 + rng.random((s, s)),
                            np.ones((s, s), dtype=complex), 1.2)
     order = rng.permutation(s * s)
-    pattern = stencil_pattern(s).renumbered(order)
+    pattern = StencilPattern(s, order)
     np.testing.assert_array_equal(pattern.order, order)
+    np.testing.assert_array_equal(pattern.number[pattern.order],
+                                  np.arange(s * s))
+    for name in ("order", "number", "indptr", "indices", "diagonal"):
+        assert not getattr(pattern, name).flags.writeable
     A = op.as_sparse(pattern)
     dense = op.as_sparse().toarray()
     np.testing.assert_array_equal(A.toarray(), dense[order][:, order])

@@ -494,6 +494,16 @@ def test_kept_column_order_solves_bit_for_bit(index, beta):
                                   lu.solve(b[1].reshape(n, 1)).reshape(s, s))
 
 
+def test_coarsest_solve_of_a_real_field_is_complex(monkeypatch):
+    # through a side's first factor and through its kept column order alike
+    monkeypatch.setattr(MgHierarchy, "_kept_orders", {})
+    op = _disk_operator(1.1, 0.0)
+    b = np.random.default_rng(6).standard_normal((2, op.side, op.side))
+    for hier in (MgHierarchy(op, 1), MgHierarchy(op, 1)):
+        np.testing.assert_array_equal(hier.coarsest_solve(b),
+                                      hier.coarsest_solve(b + 0j))
+
+
 def test_first_factorization_of_a_side_orders_by_minimum_degree(monkeypatch):
     monkeypatch.setattr(MgHierarchy, "_kept_orders", {})
     op = _disk_operator(1.1, 0.0)
@@ -501,7 +511,8 @@ def test_first_factorization_of_a_side_orders_by_minimum_degree(monkeypatch):
     lu = splu(op.as_sparse(), permc_spec="MMD_AT_PLUS_A", panel_size=4,
               relax=1)
     np.testing.assert_array_equal(hier._coarse_lu.perm_c, lu.perm_c)
-    pattern, number = MgHierarchy._kept_orders[op.side]
+    pattern = MgHierarchy._kept_orders[op.side]
+    number = pattern.number
     np.testing.assert_array_equal(number, lu.perm_c)
     np.testing.assert_array_equal(pattern.order[number],
                                   np.arange(op.side ** 2))

@@ -354,8 +354,6 @@ class HelmholtzForward(_ForwardModel):
                  cfg: SolverConfig):
         super().__init__(scene, f, cfg)
         k0 = scene.k0
-        if scene.eta_sq_nonpositive(self.f):
-            raise ValueError("f would make eta^2 nonpositive")
         self.eg = build_extended_grid(scene.grid, cfg.abl_points, cfg.beta,
                                       cfg.levels)
         self.f_ext = embed_potential(self.f, self.eg)

@@ -12,7 +12,6 @@ so alpha = 1 on the region of interest and 1 - j*beta at the outer rim.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -72,20 +71,11 @@ class HelmholtzOperator:
         self.alpha = alpha
 
         h2 = self.h**2
-        # Sommerfeld fold: the missing neighbor contributes
-        # -(1 + j*h*k0*eta_boundary)/h^2 on the boundary row itself.
-        k_eta = k0 * np.sqrt(self.eta_sq)
-        diag = (4.0 / h2 - self.alpha * k0**2 * self.eta_sq).astype(complex)
-        diag[0, :] -= (1.0 + 1j * self.h * k_eta[0, :]) / h2
-        diag[-1, :] -= (1.0 + 1j * self.h * k_eta[-1, :]) / h2
-        diag[:, 0] -= (1.0 + 1j * self.h * k_eta[:, 0]) / h2
-        diag[:, -1] -= (1.0 + 1j * self.h * k_eta[:, -1]) / h2
-        self._diag = diag
         # apply() works on h^2 * A and scales by 1/h^2 once at the end
-        self._diag_h2 = diag * h2
+        self._diag_h2 = self.diagonal() * h2
         self._inv_h2 = 1.0 / h2
         s = self.side
-        blocks = -(-s * s * diag.itemsize // _BLOCK_BYTES)
+        blocks = -(-s * s * self._diag_h2.itemsize // _BLOCK_BYTES)
         self._block_len = -(-s // blocks) * s   # flat length of a row block
         self._inv_diag = None
 
@@ -154,15 +144,27 @@ class HelmholtzOperator:
         return np.conj(self.apply(np.conj(v)))
 
     def diagonal(self) -> np.ndarray:
-        return self._diag.copy()
+        """The diagonal as a new (s, s) array, evaluated on each call."""
+        h2 = self.h**2
+        # Sommerfeld fold: the missing neighbor contributes
+        # -(1 + j*h*k0*eta_boundary)/h^2 on the boundary row itself.
+        k_eta = self.k0 * np.sqrt(self.eta_sq)
+        diag = (4.0 / h2 - self.alpha * self.k0**2 * self.eta_sq).astype(
+            complex, copy=False)
+        diag[0, :] -= (1.0 + 1j * self.h * k_eta[0, :]) / h2
+        diag[-1, :] -= (1.0 + 1j * self.h * k_eta[-1, :]) / h2
+        diag[:, 0] -= (1.0 + 1j * self.h * k_eta[:, 0]) / h2
+        diag[:, -1] -= (1.0 + 1j * self.h * k_eta[:, -1]) / h2
+        return diag
 
     def inverse_diagonal(self) -> np.ndarray:
         """Read-only 1/diagonal, computed and checked for zeros on first
         use, then cached for the lifetime of the operator."""
         if self._inv_diag is None:
-            if np.any(self._diag == 0.0):
+            diag = self.diagonal()
+            if np.any(diag == 0.0):
                 raise ZeroDivisionError("operator has a zero diagonal entry")
-            inv = 1.0 / self._diag
+            inv = 1.0 / diag
             inv.flags.writeable = False
             self._inv_diag = inv
         return self._inv_diag
@@ -173,11 +175,14 @@ class HelmholtzOperator:
         coarsest-level solve), or, with a ``pattern`` of this side, the
         matrix of the unknowns as that pattern numbers them: the pattern's
         entries filled with -1/h^2 off the diagonal and with the operator's
-        diagonal.  The matrix owns its arrays."""
-        p = stencil_pattern(self.side) if pattern is None else pattern
+        diagonal.  In row-major order it is the matrix ``sparse.diags``
+        builds, except that a diagonal entry that is exactly 0 stays in it
+        as an explicit zero.  The matrix owns its arrays."""
         n = self.side * self.side
+        p = (StencilPattern(self.side, np.arange(n)) if pattern is None
+             else pattern)
         data = np.full(p.indices.size, -1.0 / self.h**2, dtype=complex)
-        data[p.diagonal] = self._diag.ravel()
+        data[p.diagonal] = self.diagonal().ravel()
         return sparse.csc_matrix((data, p.indices.copy(), p.indptr.copy()),
                                  shape=(n, n))
 
@@ -190,35 +195,30 @@ class StencilPattern:
     j, j + 1 and j + s of j = ``order[k]`` that lie on the grid, in that
     row-major sequence, renumbered.  ``diagonal[j]`` is the position in the
     data of row-major unknown j's diagonal entry; every other entry is an
-    off-diagonal.  The arrays are read-only."""
+    off-diagonal.  ``order``, ``number`` and ``diagonal`` are intp, the
+    index type of the takes that read them; ``indptr`` and ``indices`` are
+    int32, as SuperLU and ``sparse.diags`` have them.  The arrays are
+    read-only."""
 
     def __init__(self, side: int, order: np.ndarray):
         s = side
         n = s * s
-        order = np.array(order, dtype=np.int32)
-        number = np.empty(n, dtype=np.int32)
-        number[order] = np.arange(n, dtype=np.int32)
+        order = np.array(order, dtype=np.intp)
+        number = np.empty(n, dtype=np.intp)
+        number[order] = np.arange(n)
         r, c = np.divmod(order, s)
-        rows = order[:, None] + np.array([-s, -1, 0, 1, s], dtype=np.int32)
+        rows = order[:, None] + np.array([-s, -1, 0, 1, s])
         present = np.column_stack([r > 0, c > 0, np.ones(n, dtype=bool),
                                    c < s - 1, r < s - 1])
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(present.sum(axis=1), out=indptr[1:])
-        diagonal = np.empty(n, dtype=np.int32)
+        diagonal = np.empty(n, dtype=np.intp)
         diagonal[order] = indptr[:-1] + present[:, 0] + present[:, 1]
         self.order, self.number, self.indptr = order, number, indptr
-        self.indices, self.diagonal = number[rows[present]], diagonal
+        self.indices = number[rows[present]].astype(np.int32)
+        self.diagonal = diagonal
         for a in (order, number, indptr, self.indices, diagonal):
             a.flags.writeable = False
-
-
-@functools.lru_cache(maxsize=8)
-def stencil_pattern(side: int) -> StencilPattern:
-    """The :class:`StencilPattern` of an s-by-s grid in row-major order,
-    each column's rows ascending, built once per side.  It is the structure
-    ``sparse.diags`` gives the matrix, except that a diagonal entry that is
-    exactly 0 stays in it as an explicit zero."""
-    return StencilPattern(side, np.arange(side * side))
 
 
 def assemble(eg: ExtendedGrid2D, eta_sq: np.ndarray, k0: float

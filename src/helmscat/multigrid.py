@@ -9,12 +9,12 @@ adjoint of the restriction up to the scale 4 absorbed by the 1/16 weights).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .helmholtz import HelmholtzOperator, StencilPattern, stencil_pattern
+from .helmholtz import HelmholtzOperator, StencilPattern
 
 
 def damped_jacobi(op: HelmholtzOperator, b: np.ndarray,
@@ -139,7 +139,8 @@ def coarsen_operator(fine_op: HelmholtzOperator) -> HelmholtzOperator:
 
 @dataclass
 class WorkUnitMeter:
-    """Tallies smoother sweeps, weighted 2^(-2p) at level p (d = 2).
+    """Running total of smoother sweeps, each weighted 2^(-2p) at level p
+    (d = 2); every weight is a power of 2, so the total is exact.
 
     Only smoother sweeps count: residuals, transfers and the coarsest
     solve are not metered.  A sweep from the zero guess (``v=None`` in
@@ -147,18 +148,10 @@ class WorkUnitMeter:
     operator application.
     """
 
-    sweeps_per_level: dict[int, int] = field(default_factory=dict)
+    total: float = 0.0
 
     def record(self, level: int, sweeps: int):
-        self.sweeps_per_level[level] = (
-            self.sweeps_per_level.get(level, 0) + sweeps)
-
-    @property
-    def total(self) -> float:
-        return sum(n * 4.0**(-p) for p, n in self.sweeps_per_level.items())
-
-    def reset(self):
-        self.sweeps_per_level.clear()
+        self.total += sweeps * 4.0**(-level)
 
 
 class LevelWork:
@@ -239,7 +232,8 @@ class MgHierarchy:
         walks; the factors, and every solve, are then bit for bit those of
         a fresh factorization."""
         kept = MgHierarchy._kept_orders.get(op.side)
-        pattern = stencil_pattern(op.side) if kept is None else kept
+        pattern = (StencilPattern(op.side, np.arange(op.side**2))
+                   if kept is None else kept)
         A = op.as_sparse(pattern)
         # a column's rows are not ascending in a kept numbering; marked
         # canonical, as the row-major matrix is, splu keeps their sequence

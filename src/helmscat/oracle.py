@@ -112,7 +112,7 @@ def analytic_disk_field(scene: DiskScene, grid: Grid2D,
     phase0 = u0 * np.exp(1j * kb * (d[0] * scene.center[0]
                                     + d[1] * scene.center[1]))
 
-    u = np.zeros(grid.coords()[0].shape, dtype=complex)
+    u = np.zeros(x.shape, dtype=complex)
     u[outside] = np.exp(1j * kb * r[outside] * np.cos(phi[outside]))
     tail = 0.0
     for n in range(scene.truncation_order + 1):

@@ -318,6 +318,11 @@ def test_renumbered_pattern_assembles_the_permuted_matrix():
                                   np.arange(s * s))
     for name in ("order", "number", "indptr", "indices", "diagonal"):
         assert not getattr(pattern, name).flags.writeable
+    # the takes index with intp; SuperLU and sparse.diags keep int32
+    for name in ("order", "number", "diagonal"):
+        assert getattr(pattern, name).dtype == np.intp
+    for name in ("indptr", "indices"):
+        assert getattr(pattern, name).dtype == np.int32
     A = op.as_sparse(pattern)
     dense = op.as_sparse().toarray()
     np.testing.assert_array_equal(A.toarray(), dense[order][:, order])

@@ -261,7 +261,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:               # a grid too large to allocate
         print(f"error: out of memory: {exc}", file=sys.stderr)
         code = 2
-    except RuntimeError as exc:              # unconverged, BicgstabBreakdown
+    except (RuntimeError, ZeroDivisionError) as exc:
+        # unconverged, BicgstabBreakdown, or a zero smoother diagonal
         print(f"solver failure: {exc}", file=sys.stderr)
         code = 3
     for path in begun:  # a directory, or a path we may not remove, stays

@@ -14,7 +14,7 @@ from .grid import (Grid2D, build_extended_grid, check_integer,
                    embed_potential, restrict_to_roi)
 from .helmholtz import assemble
 from .krylov import SolveReport, bicgstab
-from .lis import GreenKernel, green_value, sample_green_kernel, solve_lis
+from .lis import GreenKernel, _solve_stack, green_value, sample_green_kernel
 from .multigrid import MgHierarchy
 
 # Extended grids with at most this many unknowns are solved with one sparse
@@ -48,7 +48,8 @@ class AcquisitionGeometry:
         if d.ndim != 2 or d.shape[1] != 2:
             raise ValueError(f"directions must have shape (Q, 2), "
                              f"got {d.shape}")
-        if not np.allclose(np.hypot(d[:, 0], d[:, 1]), 1.0, atol=1e-12):
+        if not np.allclose(np.hypot(d[:, 0], d[:, 1]), 1.0, rtol=0.0,
+                           atol=1e-12):
             raise ValueError("directions must be unit vectors")
         if self.sensors.ndim != 2 or self.sensors.shape[1] != 2:
             raise ValueError(f"sensors must have shape (M, 2), "
@@ -218,7 +219,7 @@ def plane_wave(grid: Grid2D, direction: tuple[float, float], k0: float,
     """Samples u0 * exp(j * k0 * eta_b * <direction, x>) on a Grid2D or an
     extended grid: the one-view case of :func:`_plane_waves`."""
     d = np.asarray(direction, dtype=float)
-    if not np.isclose(np.hypot(*d), 1.0):
+    if not np.isclose(np.hypot(*d), 1.0, rtol=0.0, atol=1e-12):
         raise ValueError("direction must be a unit vector")
     return _plane_waves(grid, d[None], k0, eta_b, u0)[0]
 
@@ -474,15 +475,12 @@ class LisForward(_ForwardModel):
     on the scene's Green kernel."""
 
     def fields(self, views) -> tuple[np.ndarray, list[SolveReport]]:
-        """Total fields of ``views`` on the region of interest, one Krylov
-        solve per view, each written over its incident wave."""
+        """Total fields of ``views`` on the region of interest, each written
+        over its incident wave: one window and window kernel for the batch,
+        one Krylov solve per view."""
         u = self._incident_waves(self.scene.grid, views)
-        reports = []
-        for u_i in u:
-            u_i[...], report = solve_lis(self.scene.green_kernel, self.f, u_i,
-                                         self.cfg.tol, self.cfg.max_iter)
-            reports.append(report)
-        return u, reports
+        return u, _solve_stack(self.scene.green_kernel, self.f, u,
+                               self.cfg.tol, self.cfg.max_iter)
 
 
 def forward_mgh(scene: ScatteringScene, f: np.ndarray, view: int,

@@ -95,8 +95,9 @@ class HelmholtzOperator:
         entry then sees the same operations in the same order as the 2-D
         stencil, and the result is bit-identical to it.  A field larger
         than ``_BLOCK_BYTES`` is done one block of rows at a time, each
-        block reading the rows next to it from ``u``; every entry still sees
-        the same operations, so the result is the same bit for bit."""
+        block reading the rows next to it from ``u``, and a stack of such
+        fields is blocked across the stack; every entry still sees the same
+        operations, so the result is the same bit for bit."""
         s = self.side
         if u.shape[-2:] != (s, s):
             raise ValueError(f"field shape {u.shape} does not match grid {s}")
@@ -110,13 +111,8 @@ class HelmholtzOperator:
         o = out.reshape(u.shape[:-2] + (n,))
         f = u.reshape(o.shape)
         step = self._block_len
-        if step >= n:
-            self._stencil_rows(o, f, 0, n)   # the whole stack at once
-        else:
-            o, f = o.reshape(-1, n), f.reshape(-1, n)
-            for k in range(o.shape[0]):
-                for a in range(0, n, step):
-                    self._stencil_rows(o[k], f[k], a, min(a + step, n))
+        for a in range(0, n, step):
+            self._stencil_rows(o, f, a, min(a + step, n))
         return out
 
     def _stencil_rows(self, o: np.ndarray, f: np.ndarray, a: int, b: int

@@ -140,15 +140,6 @@ def _support_window(f: np.ndarray) -> tuple[slice, slice] | None:
     return slice(r0, r0 + n), slice(c0, c0 + n)
 
 
-def _lis_operator(kernel: GreenKernel, f: np.ndarray):
-    """u -> u - G(f u) on the kernel's grid, written over the fresh array
-    G(f u), so that the difference allocates no field of its own."""
-    def apply(u):
-        g = apply_green_convolution(kernel, f * u)
-        return np.subtract(u, g, out=g)
-    return apply
-
-
 def solve_lis(kernel: GreenKernel, f: np.ndarray, u_in: np.ndarray,
               tol: float = 1e-6, max_iter: int = 1000
               ) -> tuple[np.ndarray, SolveReport]:
@@ -164,34 +155,54 @@ def solve_lis(kernel: GreenKernel, f: np.ndarray, u_in: np.ndarray,
     solve stops at ||r_B|| <= tol * ||u_in||, the full solve's own test.
     A window as large as the grid is solved on the grid's own kernel, and
     ``f = 0`` returns ``u_in`` with no iteration.  ``tol`` must lie in
-    (0, 1); the window solve's own tolerance may exceed 1."""
+    (0, 1); the window solve's own tolerance may exceed 1.  This is the
+    one-field case of :func:`_solve_stack`."""
+    u = u_in.astype(complex)[None]
+    reports = _solve_stack(kernel, f, u, tol, max_iter)
+    return u[0], reports[0]
+
+
+def _solve_stack(kernel: GreenKernel, f: np.ndarray, u: np.ndarray,
+                 tol: float, max_iter: int) -> list[SolveReport]:
+    """Writes the total field of each incident field of the complex stack
+    ``u`` (shape (V, s, s)) over it, as :func:`solve_lis` states, and
+    returns one report per field.  The window, its copy of ``f``, its
+    kernel and the operator v -> v - G(f_B v) are made once for the
+    stack; only the Bi-CGSTAB solve and the extension run per field."""
     s = kernel.side
     if not 0.0 < tol < 1.0:
         # the unsolved field's relative residual is 1: tol >= 1 passes it
         raise ValueError("tol must be positive and less than 1")
-    if f.shape != (s, s) or u_in.shape != (s, s):
+    if f.shape != (s, s) or u.shape[1:] != (s, s):
         raise ValueError("f and u_in must live on the kernel grid")
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(u_in))):
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(u))):
         raise ValueError("f and u_in must be finite")
     window = _support_window(f)
     if window is None:
-        return u_in.astype(complex), SolveReport(0, [0.0], converged=True)
+        return [SolveReport(0, [0.0], converged=True) for _ in u]
     n = window[0].stop - window[0].start
-
-    # the field is allocated first and the window kernel is held to the
-    # end, so that the solve's temporaries lie above both on the heap and
-    # are handed back together once freed
-    u = u_in.astype(complex)
+    # the window kernel is made after the stack and held through the loop,
+    # so that the solves' temporaries lie above both on the heap and are
+    # handed back together once freed
     f_b = np.ascontiguousarray(f[window])
-    b = u_in[window].astype(complex)
-    b_norm = np.linalg.norm(b)
-    scale = np.linalg.norm(u_in) / b_norm if b_norm > 0.0 else 1.0
     window_kernel = kernel if n == s else _padded_kernel(kernel.quadrant, n)
-    u_b, report = bicgstab(_lis_operator(window_kernel, f_b), b,
-                           tol=tol * scale, max_iter=max_iter)
-    if n < s:
-        fu = np.zeros((s, s), dtype=complex)
-        fu[window] = f_b * u_b
-        u += apply_green_convolution(kernel, fu)
-    u[window] = u_b
-    return u, report
+
+    def apply(v):
+        # written over the fresh array G(f_B v): the difference allocates
+        # no field of its own
+        g = apply_green_convolution(window_kernel, f_b * v)
+        return np.subtract(v, g, out=g)
+
+    reports = []
+    for u_i in u:
+        b = u_i[window].copy()
+        b_norm = np.linalg.norm(b)
+        scale = np.linalg.norm(u_i) / b_norm if b_norm > 0.0 else 1.0
+        u_b, report = bicgstab(apply, b, tol=tol * scale, max_iter=max_iter)
+        if n < s:
+            fu = np.zeros((s, s), dtype=complex)
+            fu[window] = f_b * u_b
+            u_i += apply_green_convolution(kernel, fu)
+        u_i[window] = u_b
+        reports.append(report)
+    return reports

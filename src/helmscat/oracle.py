@@ -93,7 +93,7 @@ def analytic_disk_field(scene: DiskScene, grid: Grid2D,
     the propagation direction.
     """
     d = np.asarray(direction, dtype=float)
-    if not np.isclose(np.hypot(*d), 1.0):
+    if not np.isclose(np.hypot(*d), 1.0, rtol=0.0, atol=1e-12):
         raise ValueError("direction must be a unit vector")
     kb = scene.k0 * scene.eta_b
     kd = scene.k0 * scene.eta_disk

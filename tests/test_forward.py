@@ -525,6 +525,48 @@ def test_lis_fields_written_over_incident_waves(monkeypatch):
         assert report == report_ref
 
 
+def test_lis_fields_build_one_window_kernel_per_call(monkeypatch):
+    # the disk's window is smaller than the grid, so the batch pads one
+    # window kernel and shares it between its views
+    from helmscat import lis
+    scene = _small_scene(views=3)
+    _, f, cfg = _warm_problem()
+    padded = lis._padded_kernel
+    sides = []
+
+    def counted(quadrant, n):
+        sides.append(n)
+        return padded(quadrant, n)
+
+    model = LisForward(scene, f, cfg)
+    scene.green_kernel      # the grid's kernel, built before the count
+    monkeypatch.setattr(lis, "_padded_kernel", counted)
+    _, reports = model.fields(range(3))
+    assert len(sides) == 1 and sides[0] < scene.grid.points_per_side
+    assert len(reports) == 3 and all(r.converged for r in reports)
+
+
+def test_lis_fields_of_zero_potential_are_the_incident_waves(monkeypatch):
+    from helmscat import forward
+    scene = _small_scene(views=3)
+    plane_waves = forward._plane_waves
+    stacks = []
+
+    def capturing(*args):
+        stacks.append(plane_waves(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(forward, "_plane_waves", capturing)
+    u, reports = LisForward(scene, np.zeros((33, 33)),
+                            hs.SolverConfig()).fields(range(3))
+    assert len(stacks) == 1 and u is stacks[0]
+    g = scene.geometry
+    for u_q, d in zip(u, g.directions):
+        np.testing.assert_array_equal(
+            u_q, hs.plane_wave(scene.grid, d, scene.k0, scene.eta_b, g.u0))
+    assert [(r.iterations, r.converged) for r in reports] == [(0, True)] * 3
+
+
 @pytest.mark.usefixtures("multigrid_path")
 def test_batched_fields_peak_memory():
     # fields(range(V)) holds one stack of V extended fields, the incident
@@ -597,6 +639,20 @@ def test_geometry_rejects_malformed_fields(field, bad, needle):
     geom = hs.make_circular_geometry(2, 6, 40.0, 10.0, active_count=3)
     with pytest.raises(ValueError, match=needle):
         dataclasses.replace(geom, **{field: bad(geom)})
+
+
+def test_directions_off_unit_length_are_rejected():
+    # a norm of 1 + 1e-9 passes numpy's default rtol of 1e-5, and its
+    # plane waves would run at (1 + 1e-9) k
+    d = np.array([1.0 + 1e-9, 0.0])
+    ref = hs.make_circular_geometry(1, 4, 40.0, 10.0)
+    with pytest.raises(ValueError, match="unit vectors"):
+        dataclasses.replace(ref, directions=d[None])
+    g = hs.Grid2D(5, 4.0, (0.0, 0.0))
+    with pytest.raises(ValueError, match="unit vector"):
+        hs.plane_wave(g, d, 1.0, 1.0)
+    with pytest.raises(ValueError, match="unit vector"):
+        hs.analytic_disk_field(hs.DiskScene(1.0, 1.1, 1.0, 10.0), g, d)
 
 
 def test_geometry_from_lists_stores_arrays():

@@ -223,6 +223,29 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert not (out / "reports.csv").exists()
 
 
+def test_zero_smoother_diagonal_exit_code(tmp_path, capsys):
+    # h = 1 and k0 * eta_b = 2: the background diagonal 4/h^2 - (k0 eta_b)^2
+    # is 0, and the 91^2 grid takes the multigrid path, whose smoother
+    # divides by it
+    cfg = _write(tmp_path, """
+side_length_cm = 90
+grid_points = 91
+wavelength_cm = 6.283185307179586
+eta_b = 2.0
+num_views = 1
+num_sensors = 4
+sensor_radius_cm = 80
+disk_radius_cm = 5
+disk_eta = 2.1
+""")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "solver failure: operator has a zero diagonal entry\n"
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_rejected(tmp_path, capsys, threads):
     cfg = _write(tmp_path, SIM)

@@ -170,15 +170,11 @@ def read_field(path: str | Path) -> np.ndarray:
     return np.frombuffer(body, dtype=_KINDS[kind]).reshape(rows, cols).copy()
 
 
-def _fmt(x) -> str:
-    # repr of a Python float is the shortest round-trip representation
-    return repr(float(x))
-
-
 def write_measurements_csv(path: str | Path, geometry, views: list[np.ndarray]):
-    """One row per active sensor per view, header view,sensor,re,im.
-    Raises ``ValueError``, before the file is opened, when the number of
-    views or a view's number of values does not match the geometry."""
+    """One row per active sensor per view, header view,sensor,re,im, written
+    by :func:`write_rows_csv`.  Raises ``ValueError``, before the file is
+    opened, when the number of views or a view's number of values does not
+    match the geometry."""
     if len(views) != geometry.num_views:
         raise ValueError(f"{len(views)} measurement views for a geometry "
                          f"of {geometry.num_views}")
@@ -187,13 +183,11 @@ def write_measurements_csv(path: str | Path, geometry, views: list[np.ndarray]):
         if np.shape(y) != (count,):
             raise ValueError(f"view {q}: {np.size(y)} values for {count} "
                              f"active sensors (shape {np.shape(y)})")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["view", "sensor", "re", "im"])
-        for q, y in enumerate(views):
-            sensor_ids = np.flatnonzero(geometry.active[q])
-            for sid, val in zip(sensor_ids, y):
-                w.writerow([q, sid, _fmt(val.real), _fmt(val.imag)])
+    # float(): a complex64 view's parts are np.float32, not float
+    write_rows_csv(path, ["view", "sensor", "re", "im"],
+                   ([q, sid, float(val.real), float(val.imag)]
+                    for q, y in enumerate(views)
+                    for sid, val in zip(np.flatnonzero(geometry.active[q]), y)))
 
 
 def read_measurements_csv(path: str | Path, geometry):
@@ -243,9 +237,13 @@ def read_measurements_csv(path: str | Path, geometry):
     return MeasurementSet(views)
 
 
-def write_rows_csv(path: str | Path, header: list[str], rows: list[list]):
+def write_rows_csv(path: str | Path, header: list[str], rows):
+    """The package's one CSV writer: ``header``, then each of the iterable
+    ``rows``, a ``float`` as its shortest round-trip ``repr`` and any other
+    value as ``csv`` writes it."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+            w.writerow([repr(float(v)) if isinstance(v, float) else v
+                        for v in row])

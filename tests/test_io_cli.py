@@ -571,6 +571,25 @@ def test_write_measurements_rejects_wrong_view_length(tmp_path, lengths):
     assert not path.exists()
 
 
+def test_write_measurements_bytes(tmp_path):
+    # view 1's sensor 1 is inactive; a complex64 view's float32 parts are
+    # written as the float64 values they widen to
+    from types import SimpleNamespace
+    geom = SimpleNamespace(num_views=2, active=np.array(
+        [[True, True, True], [True, False, True]]))
+    views = [np.array([0.1 + 0.5j, -2.0, 1e-8 - 3.25j], dtype=np.complex64),
+             np.array([complex(-0.0, 0.1 + 0.2), 1e300 - 1e-300j])]
+    path = tmp_path / "m.csv"
+    io.write_measurements_csv(path, geom, views)
+    assert path.read_bytes() == (
+        b"view,sensor,re,im\r\n"
+        b"0,0,0.10000000149011612,0.5\r\n"
+        b"0,1,-2.0,0.0\r\n"
+        b"0,2,9.99999993922529e-09,-3.25\r\n"
+        b"1,0,-0.0,0.30000000000000004\r\n"
+        b"1,2,1e+300,-1e-300\r\n")
+
+
 @pytest.mark.parametrize("count", [1, 3])
 def test_write_measurements_rejects_wrong_view_count(tmp_path, count):
     import helmscat as hs
@@ -938,8 +957,12 @@ def test_negative_sensor_radius_exits_2(tmp_path, capsys):
 
 def test_memory_error_exits_2_and_removes_begun_outputs(tmp_path, capsys,
                                                         monkeypatch):
-    def no_memory(*args, **kwargs):
-        raise MemoryError("Unable to allocate 298. GiB for an array")
+    write_rows_csv = io.write_rows_csv
+
+    def no_memory(path, *args):
+        if Path(path).name == "reports.csv":
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+        write_rows_csv(path, *args)
 
     # reports.csv is written after measurements.csv, which must go
     monkeypatch.setattr(io, "write_rows_csv", no_memory)

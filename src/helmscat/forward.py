@@ -218,6 +218,8 @@ def plane_wave(grid: Grid2D, direction: tuple[float, float], k0: float,
                eta_b: float, u0: complex = 1.0) -> np.ndarray:
     """Samples u0 * exp(j * k0 * eta_b * <direction, x>) on a Grid2D or an
     extended grid: the one-view case of :func:`_plane_waves`."""
+    if not 0.0 < k0 * eta_b < math.inf:
+        raise ValueError("k0 * eta_b must be positive and finite")
     d = np.asarray(direction, dtype=float)
     if not np.isclose(np.hypot(*d), 1.0, rtol=0.0, atol=1e-12):
         raise ValueError("direction must be a unit vector")

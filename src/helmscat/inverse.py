@@ -184,6 +184,9 @@ def _tv_prox_dual(w: np.ndarray, weight: float, inner_iters: int
 
 def snr(eta_star: np.ndarray, eta_true: np.ndarray) -> float:
     """20 log10(||eta_true|| / ||eta_true - eta_star||), +inf at equality."""
+    if np.shape(eta_star) != np.shape(eta_true):
+        raise ValueError(f"image shape {np.shape(eta_star)} does not match "
+                         f"the true image shape {np.shape(eta_true)}")
     err = np.linalg.norm(eta_true - eta_star)
     if err == 0.0:
         return float("inf")

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import fft
 from scipy.special import j0, j1, y0, y1
 
 from .grid import Grid2D
@@ -79,6 +78,8 @@ def _padded_kernel(quadrant: np.ndarray, n: int) -> GreenKernel:
     factors that keeps the convolution aperiodic.  Index i stands for
     offset i or i - length, whichever is shorter; |offsets| past the
     quadrant, which no convolution reaches, are clipped to its last row."""
+    from scipy import fft  # here, so that only LiS callers load scipy.fft
+
     length = fft.next_fast_len(2 * n - 1)
     idx = np.arange(length)
     mirror = np.minimum(np.minimum(idx, length - idx), quadrant.shape[0] - 1)
@@ -115,6 +116,8 @@ def apply_green_convolution(kernel: GreenKernel, w: np.ndarray) -> np.ndarray:
     the s nonzero columns only, and the inverse pass along axis 0 on the s
     kept columns only, so no padded copy of ``w`` is made.  The result
     owns its data: keeping it does not keep the padded buffer."""
+    from scipy import fft  # a GreenKernel can be built without _padded_kernel
+
     s = kernel.side
     if w.shape != (s, s):
         raise ValueError(f"field shape {w.shape} does not match grid {s}")

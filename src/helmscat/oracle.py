@@ -33,10 +33,10 @@ class DiskScene:
     truncation_order: int = 0
 
     def __post_init__(self):
-        if not all(0.0 < v < np.inf
-                   for v in (self.radius, self.eta_disk, self.eta_b)):
-            raise ValueError("radius and refractive indices must be "
-                             "positive and finite")
+        if not all(0.0 < v < np.inf for v in (self.radius, self.eta_disk,
+                                               self.eta_b, self.wavelength)):
+            raise ValueError("radius, refractive indices and wavelength must "
+                             "be positive and finite")
         kda = self.k0 * self.eta_disk * self.radius
         if not kda <= _MAX_ORDER:
             raise ValueError(f"{self.label}: the series cannot be sized, "
@@ -150,6 +150,9 @@ def dense_reference_solve(op: HelmholtzOperator, b: np.ndarray) -> np.ndarray:
 
 def relative_error(u: np.ndarray, u_ref: np.ndarray) -> float:
     """Squared-norm error ratio ||u - u_ref||^2 / ||u_ref||^2."""
+    if np.shape(u) != np.shape(u_ref):
+        raise ValueError(f"field shape {np.shape(u)} does not match the "
+                         f"reference shape {np.shape(u_ref)}")
     denom = np.linalg.norm(u_ref)
     if denom == 0.0:
         raise ValueError("reference field is zero")

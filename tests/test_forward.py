@@ -255,6 +255,10 @@ def test_sensor_operator_rejects_nonpositive_wavenumber(k0, eta_b):
     g = hs.Grid2D(9, 8.0, (-4.0, -4.0))
     with pytest.raises(ValueError, match="k0 \\* eta_b must be positive"):
         sensor_green_operator(g, np.array([[10.0, 0.0]]), k0, eta_b)
+    # plane waves check the same product: a negative one would give the
+    # conjugate wave, and 0 a constant field
+    with pytest.raises(ValueError, match="k0 \\* eta_b must be positive"):
+        hs.plane_wave(g, (1.0, 0.0), k0, eta_b)
 
 
 @pytest.mark.parametrize("eta_b", [0.0, -1.0, np.nan, np.inf])
@@ -866,6 +870,8 @@ def test_sensor_operator_rejects_non_finite_wavenumber(k0):
     g = hs.Grid2D(9, 8.0, (-4.0, -4.0))
     with pytest.raises(ValueError, match="k0 \\* eta_b must be positive"):
         sensor_green_operator(g, np.array([[10.0, 0.0]]), k0, 1.0)
+    with pytest.raises(ValueError, match="k0 \\* eta_b must be positive"):
+        hs.plane_wave(g, (1.0, 0.0), k0, 1.0)
 
 
 @pytest.mark.parametrize("kwargs", [dict(wavelength=np.nan),

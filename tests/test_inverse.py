@@ -64,6 +64,9 @@ def test_snr_values():
     expected = 20.0 * np.log10(np.linalg.norm(eta_true)
                                / np.linalg.norm(eta_true - eta_star))
     assert hs.snr(eta_star, eta_true) == pytest.approx(expected)
+    # mismatched shapes would broadcast to 1.25 dB
+    with pytest.raises(ValueError, match="does not match"):
+        hs.snr(np.ones((3, 3)), np.full(3, 2.0))
 
 
 def test_eta_potential_round_trip():

@@ -157,17 +157,49 @@ def test_convolution_matches_padded_fft2(s):
                                rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    code = ("import sys, helmscat; "
-            "print('scipy.integrate' in sys.modules)")
+def _run_fresh(code):
+    """Runs ``code`` in a fresh interpreter that imports this checkout's
+    helmscat; returns its standard output."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=120)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120).stdout
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    code = ("import sys, helmscat; "
+            "print('scipy.integrate' in sys.modules)")
+    assert _run_fresh(code).strip() == "False"
+
+
+def test_helmholtz_paths_leave_scipy_fft_unloaded():
+    # direct and multigrid predictions and a short reconstruction load no
+    # scipy.fft; the first Lippmann-Schwinger solve does
+    code = """
+import sys
+import numpy as np
+import helmscat as hs
+from helmscat import forward
+g = hs.Grid2D(17, 16.0, (-8.0, -8.0))
+scene = hs.ScatteringScene(g, 1.0,
+                           hs.make_circular_geometry(3, 10, 40.0, 10.0))
+cfg = hs.SolverConfig(abl_points=4, beta=0.0, levels=2)
+x, y = g.coords()
+f = np.where(np.hypot(x, y) <= 4.0, scene.k0 ** 2 * 0.21, 0.0)
+hs.HelmholtzForward(scene, f, cfg).predict(range(3))
+forward._DIRECT_MAX_UNKNOWNS = 0
+y_mg, _ = hs.HelmholtzForward(scene, f, cfg).predict(range(3))
+rc = hs.ReconstructionConfig(gamma=0.05, tau=1e-4, iterations=2,
+                             subset_size=2, seed=0, solver=cfg)
+hs.reconstruct_fbs(hs.MeasurementSet(y_mg), scene, rc)
+print('scipy.fft' in sys.modules)
+forward.LisForward(scene, f, cfg).fields(range(1))
+print('scipy.fft' in sys.modules)
+"""
+    assert _run_fresh(code).split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("kh", np.geomspace(0.04, 12.6, 9))
@@ -200,14 +232,7 @@ def test_kernel_build_leaves_scipy_integrate_unloaded():
             "(-2.0, -2.0)), 1.3, 1.0); "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
             "if m in sys.modules))")
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _run_fresh(code).strip() == "[]"
 
 
 @pytest.mark.parametrize("s", [16, 17])

@@ -78,6 +78,11 @@ def test_truncation_floor_enforced():
                  (1.25, 2.2, np.inf)):
         with pytest.raises(ValueError, match="must be positive"):
             DiskScene(*args, 1.0)
+    # a negative wavelength would give the conjugate field, and 0 a bare
+    # ZeroDivisionError
+    for wavelength in (-10.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="must be positive"):
+            DiskScene(1.25, 2.2, 1.0, wavelength)
 
 
 def test_direction_must_be_unit():
@@ -113,6 +118,9 @@ def test_relative_error_is_squared_ratio():
     assert relative_error(u_ref, u_ref) == 0.0
     with pytest.raises(ValueError):
         relative_error(u_ref, np.zeros(2))
+    # mismatched shapes would broadcast to 0.0
+    with pytest.raises(ValueError, match="does not match"):
+        relative_error(np.ones((3, 3)), np.ones(3))
 
 
 def test_series_breakdown_names_the_disk():

@@ -196,8 +196,8 @@ def cmd_bench(cfg, out, wall_time: bool):
             radius = radius_l * lam
             disk = DiskScene(radius, eta_disk, cfg.eta_b, lam)
             u_ref = analytic_disk_field(disk, grid, (-1.0, 0.0))
-            f = np.where(np.hypot(x, y) <= radius,
-                         scene.k0**2 * (eta_disk**2 - cfg.eta_b**2), 0.0)
+            f = _potential(np.where(np.hypot(x, y) <= radius, eta_disk,
+                                    cfg.eta_b), cfg.eta_b, scene.k0)
             for model in cfg.bench_models:
                 t0 = time.perf_counter()
                 backend = _BACKENDS[model](scene, f, solver)

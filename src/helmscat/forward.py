@@ -214,28 +214,37 @@ class SolverConfig:
             raise ValueError("beta must be nonnegative")
 
 
-def plane_wave(grid: Grid2D, direction: tuple[float, float], k0: float,
-               eta_b: float, u0: complex = 1.0) -> np.ndarray:
-    """Samples u0 * exp(j * k0 * eta_b * <direction, x>) on a Grid2D or an
-    extended grid: the one-view case of :func:`_plane_waves`."""
+def plane_wave(grid: Grid2D, direction, k0: float, eta_b: float,
+               u0: complex = 1.0) -> np.ndarray:
+    """Samples u0 * exp(j * k0 * eta_b * <d, x>) on a Grid2D or an extended
+    grid for the unit direction ``d``: one (s, s) wave for a ``direction``
+    of shape (2,), a (V, s, s) stack for a (V, 2) stack of directions.
+    Each wave is the outer product of one exponential per axis: two
+    (..., s) exponentials and one broadcast product."""
     if not 0.0 < k0 * eta_b < math.inf:
         raise ValueError("k0 * eta_b must be positive and finite")
     d = np.asarray(direction, dtype=float)
-    if not np.isclose(np.hypot(*d), 1.0, rtol=0.0, atol=1e-12):
+    if d.ndim not in (1, 2) or d.shape[-1] != 2:
+        raise ValueError(f"direction must have shape (2,) or (V, 2), "
+                         f"got {d.shape}")
+    if not np.allclose(np.hypot(d[..., 0], d[..., 1]), 1.0, rtol=0.0,
+                       atol=1e-12):
         raise ValueError("direction must be a unit vector")
-    return _plane_waves(grid, d[None], k0, eta_b, u0)[0]
-
-
-def _plane_waves(grid, directions: np.ndarray, k0: float, eta_b: float,
-                 u0: complex) -> np.ndarray:
-    """Stack of the plane waves of the unit ``directions`` (shape (V, 2)) on
-    ``grid``, each the outer product of one exponential per axis: two
-    (V, s) exponentials and one broadcast product."""
     k = k0 * eta_b
     steps = grid.h * np.arange(grid.points_per_side)
-    ex = u0 * np.exp(1j * k * directions[:, :1] * (grid.origin[0] + steps))
-    ey = np.exp(1j * k * directions[:, 1:] * (grid.origin[1] + steps))
-    return ex[:, :, None] * ey[:, None, :]
+    ex = u0 * np.exp(1j * k * d[..., :1] * (grid.origin[0] + steps))
+    ey = np.exp(1j * k * d[..., 1:] * (grid.origin[1] + steps))
+    return ex[..., :, None] * ey[..., None, :]
+
+
+def _check_measurement_count(geometry, view: int, y):
+    """Raises ValueError unless ``y`` holds one value per active sensor of
+    ``view`` (read from ``geometry.active`` alone): a vector of another
+    length would broadcast silently, or be written short."""
+    count = int(np.count_nonzero(geometry.active[view]))
+    if np.shape(y) != (count,):
+        raise ValueError(f"view {view}: {np.size(y)} values for {count} "
+                         f"active sensors (shape {np.shape(y)})")
 
 
 # The 8 symmetries of the square grid about its centre, as the signs
@@ -333,8 +342,8 @@ class _ForwardModel:
     def _incident_waves(self, grid, views) -> np.ndarray:
         """Stack of the incident waves of ``views`` on ``grid``."""
         g = self.scene.geometry
-        return _plane_waves(grid, g.directions[list(views)], self.scene.k0,
-                            self.scene.eta_b, g.u0)
+        return plane_wave(grid, g.directions[list(views)], self.scene.k0,
+                          self.scene.eta_b, g.u0)
 
     def predict(self, views) -> tuple[list[np.ndarray], list[SolveReport]]:
         """Predicted scattered-field measurements of each of ``views``,

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import HelmholtzForward, ScatteringScene, SolverConfig
+from .forward import (HelmholtzForward, ScatteringScene, SolverConfig,
+                      _check_measurement_count)
 from .grid import check_integer
 
 
@@ -49,19 +50,10 @@ class ReconstructionHistory:
     seconds: list[float] = field(default_factory=list)
 
 
-def _check_measurement_length(scene: ScatteringScene, view: int, y):
-    """Raises ValueError unless ``y`` holds one value per active sensor of
-    ``view``: a vector of another length would broadcast silently."""
-    count = int(np.count_nonzero(scene.geometry.active[view]))
-    if np.shape(y) != (count,):
-        raise ValueError(f"view {view} has {count} active sensors but "
-                         f"{np.size(y)} measurements")
-
-
 def data_fidelity(scene: ScatteringScene, f: np.ndarray, view: int,
                   y: np.ndarray, cfg: SolverConfig) -> float:
     """0.5 * || H(f) - y ||^2 for one view."""
-    _check_measurement_length(scene, view, y)
+    _check_measurement_count(scene.geometry, view, y)
     y_pred, _ = HelmholtzForward(scene, f, cfg).predict([view])
     return 0.5 * float(np.linalg.norm(y_pred[0] - y)**2)
 
@@ -90,7 +82,7 @@ def gradient_data_fidelity(scene: ScatteringScene, f: np.ndarray,
     """
     subset = sorted(subset)
     for q in subset:
-        _check_measurement_length(scene, q, measurements.views[q])
+        _check_measurement_count(scene.geometry, q, measurements.views[q])
     fwd = HelmholtzForward(scene, f, cfg)
     u, reports = fwd.fields(subset, warm)
     _require_converged("forward", subset, reports)
@@ -219,7 +211,7 @@ def reconstruct_fbs(measurements, scene: ScatteringScene,
     if measurements.num_views != num_views:
         raise ValueError("measurement views do not match geometry")
     for q, y in enumerate(measurements.views):
-        _check_measurement_length(scene, q, y)
+        _check_measurement_count(scene.geometry, q, y)
     if config.subset_size > num_views:
         raise ValueError(f"subset_size {config.subset_size} exceeds the "
                          f"{num_views} views")

@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .forward import MeasurementSet, _check_measurement_count
+
 _MAGIC = b"HSF1"
 _KINDS = ("<f8", "<c16")  # HSF1 kind byte -> payload dtype
 
@@ -179,10 +181,7 @@ def write_measurements_csv(path: str | Path, geometry, views: list[np.ndarray]):
         raise ValueError(f"{len(views)} measurement views for a geometry "
                          f"of {geometry.num_views}")
     for q, y in enumerate(views):
-        count = int(np.count_nonzero(geometry.active[q]))
-        if np.shape(y) != (count,):
-            raise ValueError(f"view {q}: {np.size(y)} values for {count} "
-                             f"active sensors (shape {np.shape(y)})")
+        _check_measurement_count(geometry, q, y)
     # float(): a complex64 view's parts are np.float32, not float
     write_rows_csv(path, ["view", "sensor", "re", "im"],
                    ([q, sid, float(val.real), float(val.imag)]
@@ -195,7 +194,6 @@ def read_measurements_csv(path: str | Path, geometry):
     on a missing column, an unparsable or non-finite value, a view or
     sensor index out of range, a row for a sensor that is not active in its
     view, a duplicate row, or a missing active sensor."""
-    from .forward import MeasurementSet
     num_views, num_sensors = geometry.active.shape
     per_view = {q: {} for q in range(num_views)}
     with open(path, newline="") as fh:

@@ -14,11 +14,15 @@ from pathlib import Path
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _targets():
+    return _tracing().TARGETS
 
 
 def _resolve(module_name, attr):
@@ -83,9 +87,7 @@ def test_traced_sizes_of_operator_builds_and_sweeps():
     import numpy as np
 
     import helmscat as hs
-    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _tracing()
     eg = hs.build_extended_grid(hs.Grid2D(33, 16.0), 4, 0.15, 3)
     se = eg.points_per_side
     assert se == 41
@@ -99,3 +101,27 @@ def test_traced_sizes_of_operator_builds_and_sweeps():
                 if s[tracing.NAME] == name]
     assert sizes("helmholtz.operator_build") == [41, 21, 11]
     assert set(sizes("multigrid.damped_jacobi")) == {41, 21}
+
+
+def test_traced_models_record_their_incident_wave_stacks():
+    # both models build a call's incident waves through plane_wave, so a
+    # traced run counts one span per fields() call; its size column reads
+    # the stack's view count, the first 2-D array argument
+    import numpy as np
+
+    import helmscat as hs
+    from helmscat.forward import LisForward
+    tracing = _tracing()
+    g = hs.Grid2D(33, 16.0, (-8.0, -8.0))
+    scene = hs.ScatteringScene(
+        g, 1.0, hs.make_circular_geometry(4, 8, 40.0, 10.0))
+    f = np.full((33, 33), 0.05)
+    cfg = hs.SolverConfig(abl_points=4, beta=0.15, levels=2)
+    for model in (hs.HelmholtzForward, LisForward):
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            model(scene, f, cfg).fields(range(4))
+        spans = [s for s in tracer.spans
+                 if s[tracing.NAME] == "forward.plane_wave"]
+        assert len(spans) == 1, model.__name__
+        assert spans[0][tracing.SIZE] == 4

@@ -23,6 +23,10 @@ def test_plane_wave_values():
     assert u[2, 0] == pytest.approx(np.exp(1j * np.pi), abs=1e-12)
     with pytest.raises(ValueError):
         hs.plane_wave(g, (2.0, 0.0), k0, 1.0)
+    for shape in [(3,), (2, 3)]:
+        with pytest.raises(ValueError,
+                           match=r"shape \(2,\) or \(V, 2\), got"):
+            hs.plane_wave(g, np.full(shape, 0.5), k0, 1.0)
 
 
 def _plane_wave_reference(grid, direction, k0, eta_b, u0=1.0):
@@ -50,6 +54,23 @@ def test_plane_wave_matches_exp_of_phase_sum():
     u = hs.plane_wave(g, (0.6, -0.8), 1.1, 1.3, u0)
     ref = _plane_wave_reference(g, (0.6, -0.8), 1.1, 1.3, u0)
     assert np.max(np.abs(u - ref)) <= 1e-14
+
+
+def test_plane_wave_stack_matches_one_direction_calls():
+    # the 8 benchmark views on the 321^2 extended grid, and the empty and
+    # one-row stacks, bit for bit
+    inner = hs.Grid2D(256, 31.875, (-15.9375, -15.9375))
+    eg = hs.build_extended_grid(inner, 32, 0.15, 3)
+    geom = hs.make_circular_geometry(8, 40, 40.0, 10.0)
+    u0 = 0.7 - 0.4j
+    for views in (range(8), range(0), range(1)):
+        d = geom.directions[list(views)]
+        stack = hs.plane_wave(eg, d, geom.k0, 1.0, u0)
+        assert stack.shape == (len(views), 321, 321)
+        for q, u_q in zip(views, stack):
+            one = hs.plane_wave(eg, geom.directions[q], geom.k0, 1.0, u0)
+            assert one.shape == (321, 321)
+            assert u_q.tobytes() == one.tobytes()
 
 
 def test_geometry_directions_point_inward():
@@ -295,14 +316,14 @@ def test_total_field_evaluates_incident_wave_once(monkeypatch):
                          scene.eta_b)
     (u_sc,), _ = fwd._solve((fwd.f_ext * u_in)[None])
     u_ref = hs.restrict_to_roi(u_sc + u_in, fwd.eg)
-    plane_waves = forward._plane_waves
+    original = forward.plane_wave
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return plane_waves(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(forward, "_plane_waves", counting)
+    monkeypatch.setattr(forward, "plane_wave", counting)
     u_tot, _ = fwd.total_field(1)
     assert len(calls) == 1
     np.testing.assert_array_equal(u_tot, u_ref)
@@ -509,14 +530,14 @@ def test_multigrid_solve_writes_over_its_stack():
 def test_lis_fields_written_over_incident_waves(monkeypatch):
     from helmscat import forward
     scene, f, cfg = _warm_problem()
-    plane_waves = forward._plane_waves
+    original = forward.plane_wave
     stacks = []
 
     def capturing(*args):
-        stacks.append(plane_waves(*args))
+        stacks.append(original(*args))
         return stacks[-1]
 
-    monkeypatch.setattr(forward, "_plane_waves", capturing)
+    monkeypatch.setattr(forward, "plane_wave", capturing)
     u, reports = LisForward(scene, f, cfg).fields([0, 1])
     assert len(stacks) == 1 and u is stacks[0]
     g = scene.geometry
@@ -553,14 +574,14 @@ def test_lis_fields_build_one_window_kernel_per_call(monkeypatch):
 def test_lis_fields_of_zero_potential_are_the_incident_waves(monkeypatch):
     from helmscat import forward
     scene = _small_scene(views=3)
-    plane_waves = forward._plane_waves
+    original = forward.plane_wave
     stacks = []
 
     def capturing(*args):
-        stacks.append(plane_waves(*args))
+        stacks.append(original(*args))
         return stacks[-1]
 
-    monkeypatch.setattr(forward, "_plane_waves", capturing)
+    monkeypatch.setattr(forward, "plane_wave", capturing)
     u, reports = LisForward(scene, np.zeros((33, 33)),
                             hs.SolverConfig()).fields(range(3))
     assert len(stacks) == 1 and u is stacks[0]
@@ -655,6 +676,9 @@ def test_directions_off_unit_length_are_rejected():
     g = hs.Grid2D(5, 4.0, (0.0, 0.0))
     with pytest.raises(ValueError, match="unit vector"):
         hs.plane_wave(g, d, 1.0, 1.0)
+    # a stack is checked row by row
+    with pytest.raises(ValueError, match="unit vector"):
+        hs.plane_wave(g, np.stack([(0.0, 1.0), d, (-1.0, 0.0)]), 1.0, 1.0)
     with pytest.raises(ValueError, match="unit vector"):
         hs.analytic_disk_field(hs.DiskScene(1.0, 1.1, 1.0, 10.0), g, d)
 

@@ -369,7 +369,7 @@ def test_warm_starts_save_reconstruction_work(monkeypatch):
 def test_measurement_length_must_match_active_sensors():
     scene, cfg, f_true, ms = _toy_problem()
     short = hs.MeasurementSet([ms.views[0], ms.views[1][:1], ms.views[2]])
-    msg = "view 1 has 10 active sensors but 1 measurements"
+    msg = "view 1: 1 values for 10 active sensors"
     with pytest.raises(ValueError, match=msg):
         hs.data_fidelity(scene, f_true, 1, short.views[1], cfg)
     with pytest.raises(ValueError, match=msg):
@@ -380,6 +380,22 @@ def test_measurement_length_must_match_active_sensors():
                                  subset_size=1, solver=cfg)
     with pytest.raises(ValueError, match=msg):
         hs.reconstruct_fbs(short, scene, rc)
+
+
+def test_measurement_count_message_shared_with_csv_writer(tmp_path):
+    # the CSV writer and the reconstruction check one rule, in one message
+    from helmscat import io
+    scene, cfg, f_true, ms = _toy_problem()
+    short = hs.MeasurementSet([ms.views[0], ms.views[1][:1], ms.views[2]])
+    with pytest.raises(ValueError) as written:
+        io.write_measurements_csv(tmp_path / "m.csv", scene.geometry,
+                                  short.views)
+    with pytest.raises(ValueError) as fitted:
+        hs.gradient_data_fidelity(scene, f_true, [0, 1], short, cfg)
+    assert str(written.value) == str(fitted.value)
+    assert str(fitted.value) == ("view 1: 1 values for 10 active sensors "
+                                 "(shape (1,))")
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_reconstruction_rejects_oversized_subset():
@@ -422,7 +438,7 @@ def test_direct_gradient_matches_multigrid_gradient(monkeypatch):
 def test_direct_reconstruction_solve_and_wave_counts(monkeypatch):
     from helmscat import forward, krylov, multigrid
     scene, cfg, f_true, ms = _toy_problem()
-    calls = {"_plane_waves": 0, "bicgstab": 0, "coarsest_solve": 0}
+    calls = {"plane_wave": 0, "bicgstab": 0, "coarsest_solve": 0}
 
     def counting(owner, name):
         fn = getattr(owner, name)
@@ -432,7 +448,7 @@ def test_direct_reconstruction_solve_and_wave_counts(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(forward, "_plane_waves")
+    counting(forward, "plane_wave")
     counting(forward, "bicgstab")
     counting(multigrid.MgHierarchy, "coarsest_solve")
     assert krylov.bicgstab is not forward.bicgstab
@@ -441,7 +457,7 @@ def test_direct_reconstruction_solve_and_wave_counts(monkeypatch):
     hs.reconstruct_fbs(ms, scene, rc)
     # one incident-wave stack per forward solve, one LU solve per direction
     # and iteration, and no Krylov iterations around the exact solves
-    assert calls == {"_plane_waves": rc.iterations,
+    assert calls == {"plane_wave": rc.iterations,
                      "bicgstab": 0,
                      "coarsest_solve": 2 * rc.iterations}
 

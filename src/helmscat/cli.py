@@ -17,15 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .forward import (HelmholtzForward, LisForward, ScatteringScene,
-                      SolverConfig, make_circular_geometry)
+from .forward import ScatteringScene, SolverConfig, make_circular_geometry
 from .grid import Grid2D
 from .inverse import (ReconstructionConfig, eta_from_potential,
                       reconstruct_fbs)
 from .oracle import DiskScene, analytic_disk_field, relative_error
-
-
-_BACKENDS = {"mgh": HelmholtzForward, "lis": LisForward}
 
 
 def _build_grid(cfg) -> Grid2D:
@@ -45,10 +41,8 @@ def _build_scene(cfg) -> ScatteringScene:
 
 
 def _solver_config(cfg) -> SolverConfig:
-    return SolverConfig(abl_points=cfg.abl_points, beta=cfg.beta,
-                        levels=cfg.mg_levels, nu1=cfg.nu1, nu2=cfg.nu2,
-                        omega=cfg.omega_s, cycle_type=cfg.cycle_type,
-                        tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    return SolverConfig(**{name: getattr(cfg, key)
+                           for key, name in io._SOLVER_KEYS.items()})
 
 
 def _read_grid_field(cfg, key: str, grid: Grid2D) -> np.ndarray:
@@ -113,7 +107,7 @@ def cmd_simulate(cfg, out, wall_time: bool):
     eta = _build_eta(cfg, scene)
     f = _potential(eta, cfg.eta_b, scene.k0)
     scene.sensor_operator  # before any solve: lower peak, early sensor check
-    model = _BACKENDS[cfg.model](scene, f, solver)
+    model = io._MODELS[cfg.model](scene, f, solver)
     num_views = scene.geometry.num_views
     t0 = time.perf_counter()
     views, reports = model.predict(range(num_views))
@@ -200,7 +194,7 @@ def cmd_bench(cfg, out, wall_time: bool):
                                     cfg.eta_b), cfg.eta_b, scene.k0)
             for model in cfg.bench_models:
                 t0 = time.perf_counter()
-                backend = _BACKENDS[model](scene, f, solver)
+                backend = io._MODELS[model](scene, f, solver)
                 (u_tot,), (report,) = backend.fields([0])
                 if not report.converged:
                     raise RuntimeError(

@@ -46,6 +46,10 @@ def abl_profile(eg: ExtendedGrid2D) -> np.ndarray:
 # to 221 takes one.
 _BLOCK_BYTES = 768 * 1024
 
+# index of each edge of an (s, s) field: row 0, row -1, column 0, column -1
+_EDGES = ((0, slice(None)), (-1, slice(None)), (slice(None), 0),
+          (slice(None), -1))
+
 
 class HelmholtzOperator:
     """Stencil form of -laplacian - alpha*k0^2*eta^2 on one level of mesh
@@ -147,10 +151,8 @@ class HelmholtzOperator:
         k_eta = self.k0 * np.sqrt(self.eta_sq)
         diag = (4.0 / h2 - self.alpha * self.k0**2 * self.eta_sq).astype(
             complex, copy=False)
-        diag[0, :] -= (1.0 + 1j * self.h * k_eta[0, :]) / h2
-        diag[-1, :] -= (1.0 + 1j * self.h * k_eta[-1, :]) / h2
-        diag[:, 0] -= (1.0 + 1j * self.h * k_eta[:, 0]) / h2
-        diag[:, -1] -= (1.0 + 1j * self.h * k_eta[:, -1]) / h2
+        for edge in _EDGES:  # a corner is on two edges and takes both
+            diag[edge] -= (1.0 + 1j * self.h * k_eta[edge]) / h2
         return diag
 
     def inverse_diagonal(self) -> np.ndarray:

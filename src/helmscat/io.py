@@ -10,7 +10,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .forward import MeasurementSet, _check_measurement_count
+from .forward import (HelmholtzForward, LisForward, MeasurementSet,
+                      SolverConfig, _check_measurement_count)
+from .inverse import ReconstructionConfig
 
 _MAGIC = b"HSF1"
 _KINDS = ("<f8", "<c16")  # HSF1 kind byte -> payload dtype
@@ -55,7 +57,20 @@ def _choice(*names: str):
     return parse
 
 
-_model = _choice("mgh", "lis")  # multigrid Helmholtz or Lippmann-Schwinger
+# model name -> forward model: multigrid Helmholtz or Lippmann-Schwinger
+_MODELS = {"mgh": HelmholtzForward, "lis": LisForward}
+_model = _choice(*_MODELS)
+
+# solver config key -> the SolverConfig field it sets and defaults to
+_SOLVER_KEYS = {"abl_points": "abl_points", "beta": "beta",
+                "mg_levels": "levels", "nu1": "nu1", "nu2": "nu2",
+                "omega_s": "omega", "cycle_type": "cycle_type",
+                "solver_tol": "tol", "solver_max_iter": "max_iter"}
+
+
+def _optional(default) -> tuple:
+    """Schema entry of an optional key parsed by its default's type."""
+    return type(default), set(), default
 
 
 # key -> (type or list parser, required-by commands, default)
@@ -64,15 +79,8 @@ _SCHEMA = {
     "grid_points": (int, {"simulate", "reconstruct", "bench"}, None),
     "wavelength_cm": (float, {"simulate", "reconstruct", "bench"}, None),
     "eta_b": (float, set(), 1.0),
-    "abl_points": (int, set(), 0),
-    "beta": (float, set(), 0.0),
-    "mg_levels": (int, set(), 2),
-    "nu1": (int, set(), 1),
-    "nu2": (int, set(), 1),
-    "omega_s": (float, set(), 0.8),
-    "cycle_type": (int, set(), 1),
-    "solver_tol": (float, set(), 1e-6),
-    "solver_max_iter": (int, set(), 500),
+    **{key: _optional(getattr(SolverConfig, name))
+       for key, name in _SOLVER_KEYS.items()},
     "model": (_model, set(), "mgh"),
     "num_views": (int, {"simulate", "reconstruct"}, None),
     "num_sensors": (int, {"simulate", "reconstruct"}, None),
@@ -89,12 +97,13 @@ _SCHEMA = {
     "tau": (float, {"reconstruct"}, None),
     "iterations": (int, {"reconstruct"}, None),
     "subset_size": (int, set(), 0),
-    "seed": (int, set(), 0),
-    "inner_prox_iterations": (int, set(), 50),
+    "seed": _optional(ReconstructionConfig.seed),
+    "inner_prox_iterations": _optional(
+        ReconstructionConfig.inner_prox_iterations),
     "contrast_list": (_floats, set(), ()),
     "radius_list_lambda": (_floats, set(), ()),
     "bench_models": (lambda text: tuple(map(_model, _items(text))), set(),
-                     ("lis", "mgh")),
+                     tuple(sorted(_MODELS))),
 }
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .helmholtz import HelmholtzOperator, StencilPattern
+from .helmholtz import _EDGES, HelmholtzOperator, StencilPattern
 
 
 def damped_jacobi(op: HelmholtzOperator, b: np.ndarray,
@@ -129,10 +129,8 @@ def coarsen_operator(fine_op: HelmholtzOperator) -> HelmholtzOperator:
                          "per side")
     eta_sq_c = restrict_full_weighting(fine_op.eta_sq)
     background = fine_op.eta_sq[0, 0]
-    eta_sq_c[0, :] = background
-    eta_sq_c[-1, :] = background
-    eta_sq_c[:, 0] = background
-    eta_sq_c[:, -1] = background
+    for edge in _EDGES:
+        eta_sq_c[edge] = background
     return HelmholtzOperator(2.0 * fine_op.h, eta_sq_c,
                              fine_op.alpha[::2, ::2], fine_op.k0)
 

@@ -1,11 +1,12 @@
+import dataclasses
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helmscat import io
-from helmscat.cli import main
+from helmscat import ReconstructionConfig, SolverConfig, io
+from helmscat.cli import _solver_config, main
 
 
 # ---------- field binaries ----------
@@ -87,6 +88,22 @@ def test_config_defaults_and_comments(tmp_path):
     assert cfg.eta_b == 1.0
     assert cfg.omega_s == 0.8
     assert cfg.scene == "disk"
+
+
+def test_omitted_solver_keys_take_the_config_class_defaults(tmp_path):
+    cfg = io.parse_config(_write(tmp_path, BASE), "simulate")
+    assert _solver_config(cfg) == SolverConfig()
+    assert cfg.seed == ReconstructionConfig.seed
+    assert (cfg.inner_prox_iterations
+            == ReconstructionConfig.inner_prox_iterations)
+
+
+def test_solver_keys_name_every_solver_field_once():
+    fields = dataclasses.fields(SolverConfig)
+    assert sorted(io._SOLVER_KEYS.values()) == sorted(f.name for f in fields)
+    # the schema parses each key by its default's type
+    for f in fields:
+        assert type(f.default).__name__ == f.type, f.name
 
 
 def test_config_unknown_key(tmp_path):

@@ -46,8 +46,8 @@ def _solver_config(cfg) -> SolverConfig:
 
 
 def _read_grid_field(cfg, key: str, grid: Grid2D) -> np.ndarray:
-    """The HSF1 field named by config key ``key``, checked to be real,
-    finite and on ``grid``."""
+    """The HSF1 field of indices named by config key ``key``, checked to be
+    real, finite, positive and on ``grid``."""
     field = io.read_field(getattr(cfg, key))
     s = grid.points_per_side
     if np.iscomplexobj(field) or field.shape != (s, s):
@@ -56,6 +56,8 @@ def _read_grid_field(cfg, key: str, grid: Grid2D) -> np.ndarray:
                              f"{field.shape}")
     if not np.all(np.isfinite(field)):
         raise io.ConfigError(f"{key} has non-finite values")
+    if np.any(field <= 0.0):
+        raise io.ConfigError(f"{key} indices must be positive")
     return field
 
 
@@ -91,8 +93,6 @@ def _build_eta(cfg, scene: ScatteringScene) -> np.ndarray:
         if not cfg.scene_file:
             raise io.ConfigError("file scene requires scene_file")
         eta = _read_grid_field(cfg, "scene_file", scene.grid)
-        if np.any(eta <= 0.0):
-            raise io.ConfigError("scene_file indices must be positive")
         _check_index("scene_file", eta, cfg.eta_b, scene.k0)
     return eta
 

@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,24 @@ def test_prox_negative_weight_rejected():
     for inner_iters in (0, -3):
         with pytest.raises(ValueError, match="inner_iters must be at least"):
             tv_prox(np.zeros((4, 4)), 0.5, inner_iters)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3, 3), (1, 4, 4)])
+@pytest.mark.parametrize("fn", [lambda w: tv_prox(w, 0.0),
+                                lambda w: tv_prox(w, 0.3), tv_value],
+                         ids=["prox_weight_0", "prox", "tv_value"])
+def test_tv_takes_one_2d_image(shape, fn):
+    with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}"):
+        fn(np.ones(shape))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64, np.int32])
+def test_prox_of_float32_and_int_images_is_float64(dtype):
+    w = (4.0 * np.random.default_rng(5).standard_normal((9, 11))).astype(dtype)
+    out = tv_prox(w, 0.3, 20)
+    ref = tv_prox(w.astype(np.float64), 0.3, 20)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, ref)
 
 
 def test_snr_values():

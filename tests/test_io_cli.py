@@ -796,6 +796,9 @@ def test_scene_file_truncated(tmp_path, capsys):
     (np.ones((16, 16)), "must be a real field on the 17x17 grid"),
     (np.ones((17, 17), dtype=complex), "must be a real field"),
     (np.where(np.eye(17) > 0, np.nan, 1.0), "non-finite values"),
+    (np.zeros((17, 17)), "ground_truth_file indices must be positive"),
+    (np.where(np.eye(17) > 0, -1.0, 1.0),
+     "ground_truth_file indices must be positive"),
     (None, "truncated HSF1 header")])
 def test_ground_truth_checked_before_any_solve(tmp_path, capsys, monkeypatch,
                                                truth, needle):

@@ -85,11 +85,16 @@ def test_truncation_floor_enforced():
             DiskScene(1.25, 2.2, 1.0, wavelength)
 
 
-def test_direction_must_be_unit():
+@pytest.mark.parametrize("direction, needle", [
+    ((1.0, 1.0), "must be a unit vector"),
+    ((1.0, 0.0, 0.0), r"shape \(2,\), got \(3,\)"),
+    ([[1.0, 0.0]], r"shape \(2,\), got \(1, 2\)")],
+    ids=["off_unit", "shape_3", "shape_1x2"])
+def test_direction_must_be_unit(direction, needle):
     scene = DiskScene(2.0, 1.3, 1.0, 10.0)
     g = Grid2D(9, 8.0, (-4.0, -4.0))
-    with pytest.raises(ValueError):
-        analytic_disk_field(scene, g, (1.0, 1.0))
+    with pytest.raises(ValueError, match=needle):
+        analytic_disk_field(scene, g, direction)
 
 
 def test_dense_reference_residual():

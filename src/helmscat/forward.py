@@ -10,12 +10,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (Grid2D, build_extended_grid, check_integer,
-                   embed_potential, restrict_to_roi)
+from .grid import (Grid2D, build_extended_grid, check_count,
+                   check_directions, embed_potential, restrict_to_roi)
 from .helmholtz import assemble
 from .krylov import SolveReport, bicgstab
 from .lis import GreenKernel, _solve_stack, green_value, sample_green_kernel
-from .multigrid import MgHierarchy
+from .multigrid import MgHierarchy, check_cycle
 
 # Extended grids with at most this many unknowns are solved with one sparse
 # LU of the whole operator, a one-level hierarchy, instead of multigrid.
@@ -48,9 +48,7 @@ class AcquisitionGeometry:
         if d.ndim != 2 or d.shape[1] != 2:
             raise ValueError(f"directions must have shape (Q, 2), "
                              f"got {d.shape}")
-        if not np.allclose(np.hypot(d[:, 0], d[:, 1]), 1.0, rtol=0.0,
-                           atol=1e-12):
-            raise ValueError("directions must be unit vectors")
+        check_directions("directions", d)
         if self.sensors.ndim != 2 or self.sensors.shape[1] != 2:
             raise ValueError(f"sensors must have shape (M, 2), "
                              f"got {self.sensors.shape}")
@@ -191,25 +189,13 @@ class SolverConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        for name in ("abl_points", "levels", "nu1", "nu2", "cycle_type",
-                     "max_iter"):
-            check_integer(name, getattr(self, name))
-        # written so that a NaN fails each check
-        if not self.levels >= 1:
-            raise ValueError("levels must be at least 1")
-        if not (self.nu1 >= 0 and self.nu2 >= 0):
-            raise ValueError("nu1 and nu2 must be nonnegative")
-        if not 0.0 < self.omega <= 1.0:
-            raise ValueError("omega must be in (0, 1]")
-        if not self.cycle_type >= 1:
-            raise ValueError("cycle_type must be at least 1")
+        check_count("abl_points", self.abl_points, 0)
+        check_count("levels", self.levels, 1)
+        check_cycle(self.nu1, self.nu2, self.omega, self.cycle_type)
+        check_count("max_iter", self.max_iter, 1)
         if not 0.0 < self.tol < 1.0:
             # the unsolved field's relative residual is 1: tol >= 1 passes it
             raise ValueError("tol must be positive and less than 1")
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be at least 1")
-        if not self.abl_points >= 0:
-            raise ValueError("abl_points must be nonnegative")
         if not self.beta >= 0.0:
             raise ValueError("beta must be nonnegative")
 
@@ -227,9 +213,7 @@ def plane_wave(grid: Grid2D, direction, k0: float, eta_b: float,
     if d.ndim not in (1, 2) or d.shape[-1] != 2:
         raise ValueError(f"direction must have shape (2,) or (V, 2), "
                          f"got {d.shape}")
-    if not np.allclose(np.hypot(d[..., 0], d[..., 1]), 1.0, rtol=0.0,
-                       atol=1e-12):
-        raise ValueError("direction must be a unit vector")
+    check_directions("direction", d)
     k = k0 * eta_b
     steps = grid.h * np.arange(grid.points_per_side)
     ex = u0 * np.exp(1j * k * d[..., :1] * (grid.origin[0] + steps))

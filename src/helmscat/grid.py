@@ -23,6 +23,23 @@ def check_integer(name: str, value) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raises TypeError unless ``value`` is an integer (see
+    :func:`check_integer`), and ValueError when it is below ``least``."""
+    check_integer(name, value)
+    if not value >= least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def check_directions(name: str, d: np.ndarray) -> None:
+    """Raises ValueError unless every direction of ``d``, shape (..., 2),
+    has unit length to within 1e-12."""
+    if not np.allclose(np.hypot(d[..., 0], d[..., 1]), 1.0, rtol=0.0,
+                       atol=1e-12):
+        raise ValueError(f"{name} must be a unit vector")
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform square grid with ``points_per_side**2`` vertices.
@@ -36,9 +53,7 @@ class Grid2D:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        check_integer("points_per_side", self.points_per_side)
-        if not self.points_per_side >= 3:
-            raise ValueError("grid needs at least 3 points per side")
+        check_count("points_per_side", self.points_per_side, 3)
         if not 0.0 < self.side_length < math.inf:
             raise ValueError("side_length must be positive and finite")
         h2 = self.h * self.h
@@ -46,6 +61,9 @@ class Grid2D:
             raise ValueError(f"side_length {self.side_length} gives a mesh "
                              f"size h = {self.h:g} whose h^2 or 1/h^2 is "
                              f"zero or not finite")
+        if np.shape(self.origin) != (2,):
+            raise ValueError(f"origin must be two numbers, got "
+                             f"{self.origin!r}")
         if not all(math.isfinite(c) for c in self.origin):
             raise ValueError("origin must be finite")
 
@@ -81,12 +99,11 @@ class ExtendedGrid2D:
     pad: int = 0
 
     def __post_init__(self):
-        check_integer("abl_points", self.abl_points)
-        check_integer("pad", self.pad)
-        if not (self.abl_points >= 0 and self.pad >= 0):
-            raise ValueError("abl_points and pad must be nonnegative")
+        check_count("abl_points", self.abl_points, 0)
+        check_count("pad", self.pad, 0)
         if not 0.0 <= self.abl_strength < math.inf:
-            raise ValueError("abl_strength must be nonnegative and finite")
+            # callers pass the strength as beta
+            raise ValueError("beta must be nonnegative and finite")
 
     @property
     def points_per_side(self) -> int:
@@ -125,23 +142,17 @@ def build_extended_grid(inner: Grid2D, abl_points: int, beta: float,
     every coarsening step of a ``levels``-deep hierarchy lands on an odd
     side count (side ≡ 1 mod 2**(levels-1)).
     """
-    check_integer("levels", levels)
-    if not abl_points >= 0:
-        raise ValueError("abl_points must be nonnegative")
-    if not 0.0 <= beta < math.inf:
-        raise ValueError("beta must be nonnegative and finite")
-    if not levels >= 1:
-        raise ValueError("levels must be at least 1")
-    base = inner.points_per_side + 2 * abl_points
+    check_count("levels", levels, 1)
     mod = 2 ** (levels - 1)
-    pad = (1 - base) % mod
-    side = base + pad
-    coarsest = (side - 1) // mod + 1
+    # the extended grid checks abl_points and beta
+    eg = ExtendedGrid2D(inner, abl_points, beta,
+                        (1 - inner.points_per_side - 2 * abl_points) % mod)
+    coarsest = (eg.points_per_side - 1) // mod + 1
     if coarsest < 3:
         raise ValueError(
             f"{levels} levels leave a degenerate coarsest grid "
             f"({coarsest} points per side)")
-    return ExtendedGrid2D(inner, abl_points, beta, pad)
+    return eg
 
 
 def embed_potential(f: np.ndarray, eg: ExtendedGrid2D) -> np.ndarray:

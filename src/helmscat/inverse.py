@@ -13,7 +13,7 @@ import numpy as np
 
 from .forward import (HelmholtzForward, ScatteringScene, SolverConfig,
                       _check_measurement_count)
-from .grid import check_integer
+from .grid import check_count
 
 
 @dataclass
@@ -29,17 +29,10 @@ class ReconstructionConfig:
     def __post_init__(self):
         if not (0.0 < self.gamma < math.inf and 0.0 < self.tau < math.inf):
             raise ValueError("gamma and tau must be positive and finite")
-        for name in ("iterations", "subset_size", "inner_prox_iterations",
-                     "seed"):
-            check_integer(name, getattr(self, name))
-        if not self.iterations >= 0:
-            raise ValueError("iterations must be nonnegative")
-        if not self.subset_size >= 1:
-            raise ValueError("subset_size must be at least 1")
-        if not self.inner_prox_iterations >= 1:
-            raise ValueError("inner_prox_iterations must be at least 1")
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_count("iterations", self.iterations, 0)
+        check_count("subset_size", self.subset_size, 1)
+        check_count("inner_prox_iterations", self.inner_prox_iterations, 1)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass
@@ -165,6 +158,11 @@ def snr(eta_star: np.ndarray, eta_true: np.ndarray) -> float:
     if np.shape(eta_star) != np.shape(eta_true):
         raise ValueError(f"image shape {np.shape(eta_star)} does not match "
                          f"the true image shape {np.shape(eta_true)}")
+    # both images scaled by one power of two, which is exact, so that the
+    # squares inside the norms cannot overflow
+    _, e = math.frexp(max(np.max(np.abs(eta_star), initial=0.0),
+                          np.max(np.abs(eta_true), initial=0.0)))
+    eta_star, eta_true = np.ldexp(eta_star, -e), np.ldexp(eta_true, -e)
     err = np.linalg.norm(eta_true - eta_star)
     if err == 0.0:
         return float("inf")

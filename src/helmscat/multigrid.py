@@ -14,7 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
+from .grid import check_count
 from .helmholtz import _EDGES, HelmholtzOperator, StencilPattern
+
+
+def _check_omega(omega: float) -> None:
+    if not 0.0 < omega <= 1.0:
+        raise ValueError(f"omega must be in (0, 1], got {omega!r}")
+
+
+def check_cycle(nu1: int, nu2: int, omega: float, cycle_type: int) -> None:
+    """Raises TypeError or ValueError unless the sweep counts ``nu1`` and
+    ``nu2`` are nonnegative integers, the damping ``omega`` lies in (0, 1]
+    and ``cycle_type`` is an integer of at least 1 (1 for V-cycles, 2 for
+    W-cycles)."""
+    check_count("nu1", nu1, 0)
+    check_count("nu2", nu2, 0)
+    _check_omega(omega)
+    check_count("cycle_type", cycle_type, 1)
 
 
 def damped_jacobi(op: HelmholtzOperator, b: np.ndarray,
@@ -34,10 +51,8 @@ def damped_jacobi(op: HelmholtzOperator, b: np.ndarray,
     inverse diagonal, built and checked once per operator; a zero diagonal
     entry raises ``ZeroDivisionError``.
     """
-    if not 0.0 < omega <= 1.0:
-        raise ValueError("omega must be in (0, 1]")
-    if sweeps < 0:
-        raise ValueError("sweeps must be nonnegative")
+    _check_omega(omega)
+    check_count("sweeps", sweeps, 0)
     d_inv = op.inverse_diagonal()
     if out is None:
         out = np.empty(np.shape(b), dtype=complex)
@@ -175,14 +190,8 @@ class MgHierarchy:
     def __init__(self, fine_op: HelmholtzOperator, n_levels: int,
                  nu1: int = 1, nu2: int = 1, omega: float = 0.8,
                  cycle_type: int = 1):
-        if n_levels < 1:
-            raise ValueError("need at least one level")
-        if cycle_type < 1:
-            raise ValueError("cycle_type must be >= 1")
-        if nu1 < 0 or nu2 < 0:
-            raise ValueError("sweeps must be nonnegative")
-        if not 0.0 < omega <= 1.0:
-            raise ValueError("omega must be in (0, 1]")
+        check_count("n_levels", n_levels, 1)
+        check_cycle(nu1, nu2, omega, cycle_type)
         self.nu1, self.nu2, self.omega = nu1, nu2, omega
         self.cycle_type = cycle_type
         self.levels = [fine_op]

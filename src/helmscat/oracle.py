@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import h1vp, hankel1, jv, jvp
 
-from .grid import Grid2D
+from .grid import Grid2D, check_directions
 from .helmholtz import HelmholtzOperator
 
 # Most orders a disk's series may take.  A disk with kd*a = 1e4 is some 3200
@@ -95,8 +95,7 @@ def analytic_disk_field(scene: DiskScene, grid: Grid2D,
     d = np.asarray(direction, dtype=float)
     if d.shape != (2,):
         raise ValueError(f"direction must have shape (2,), got {d.shape}")
-    if not np.isclose(np.hypot(*d), 1.0, rtol=0.0, atol=1e-12):
-        raise ValueError("direction must be a unit vector")
+    check_directions("direction", d)
     kb = scene.k0 * scene.eta_b
     kd = scene.k0 * scene.eta_disk
     a = scene.radius

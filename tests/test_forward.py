@@ -671,7 +671,7 @@ def test_directions_off_unit_length_are_rejected():
     # plane waves would run at (1 + 1e-9) k
     d = np.array([1.0 + 1e-9, 0.0])
     ref = hs.make_circular_geometry(1, 4, 40.0, 10.0)
-    with pytest.raises(ValueError, match="unit vectors"):
+    with pytest.raises(ValueError, match="directions must be a unit vector"):
         dataclasses.replace(ref, directions=d[None])
     g = hs.Grid2D(5, 4.0, (0.0, 0.0))
     with pytest.raises(ValueError, match="unit vector"):

@@ -32,6 +32,10 @@ def test_grid_validation():
     for origin in ((np.nan, 0.0), (0.0, -np.inf)):
         with pytest.raises(ValueError, match="origin"):
             Grid2D(9, 1.0, origin)
+    # coords() reads two numbers
+    for origin in ((0.0,), (0.0, 0.0, 0.0), 0.0):
+        with pytest.raises(ValueError, match="origin must be two numbers"):
+            Grid2D(33, 10.0, origin)
     for beta in (np.nan, np.inf):
         with pytest.raises(ValueError, match="beta must be nonnegative"):
             build_extended_grid(Grid2D(9, 1.0), 2, beta, 1)

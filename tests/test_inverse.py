@@ -89,6 +89,28 @@ def test_snr_values():
         hs.snr(np.ones((3, 3)), np.full(3, 2.0))
 
 
+def test_snr_scaling_keeps_the_bits_of_ordinary_images():
+    # the power-of-two scaling is exact: the unscaled formula's bits
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        eta_true = 1.0 + rng.random((64, 64))
+        eta_star = eta_true + 0.05 * rng.standard_normal((64, 64))
+        expected = float(20.0 * np.log10(
+            np.linalg.norm(eta_true) / np.linalg.norm(eta_true - eta_star)))
+        assert hs.snr(eta_star, eta_true) == expected
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e154])
+def test_snr_of_large_images_is_finite(scale):
+    # the squared norms of these images overflow, with a RuntimeWarning
+    # that the test settings make an error; the ratio does not
+    eta_true = np.full((33, 33), scale)
+    assert hs.snr(np.full((33, 33), 1.1), eta_true) == pytest.approx(
+        0.0, abs=1e-9)
+    assert hs.snr(0.5 * eta_true, eta_true) == pytest.approx(
+        20.0 * np.log10(2.0), rel=1e-12)
+
+
 def test_eta_potential_round_trip():
     k0 = 2.0 * np.pi / 10.0
     eta = np.array([[1.0, 1.2], [1.5, 1.0]])

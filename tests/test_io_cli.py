@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import warnings
 from pathlib import Path
@@ -637,8 +638,8 @@ def test_negative_background_index(tmp_path, capsys):
 @pytest.mark.parametrize("line, needle", [
     ("omega_s = 0", "omega must be in (0, 1]"),
     ("omega_s = 1.5", "omega must be in (0, 1]"),
-    ("nu1 = -1", "nu1 and nu2 must be nonnegative"),
-    ("nu2 = -1", "nu1 and nu2 must be nonnegative"),
+    ("nu1 = -1", "nu1 must be nonnegative, got -1"),
+    ("nu2 = -1", "nu2 must be nonnegative, got -1"),
     ("solver_tol = 0", "tol must be positive"),
     ("solver_tol = 1", "tol must be positive and less than 1"),
     ("solver_tol = 2", "tol must be positive and less than 1"),
@@ -823,6 +824,27 @@ def test_ground_truth_checked_before_any_solve(tmp_path, capsys, monkeypatch,
     _assert_input_error(capsys, ["reconstruct", "--config", str(rec),
                                  "--out-dir", str(rout)], needle)
     assert not (rout / "history.csv").exists()
+
+
+@pytest.mark.parametrize("index", [1e200, 1e154])
+def test_large_ground_truth_gives_a_finite_snr(tmp_path, capsys, index):
+    # the squared norm of this ground truth overflows a float
+    sim = _write(tmp_path, SIM)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(sim),
+                 "--out-dir", str(out)]) == 0
+    path = tmp_path / "truth.hsf"
+    io.write_field(path, np.full((17, 17), index))
+    rec = _reconstruct_cfg(tmp_path, out / "measurements.csv", 1,
+                           extra=f"ground_truth_file = {path}\n")
+    rout = tmp_path / "rout"
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", str(rec),
+                 "--out-dir", str(rout)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(rout / "history.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and np.isfinite(float(rows[0]["snr_db"]))
 
 
 def test_reconstruct_names_a_step_that_leaves_the_physical_range(tmp_path,

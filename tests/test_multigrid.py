@@ -7,7 +7,8 @@ from scipy.sparse.linalg import splu
 from helmscat import (Grid2D, build_extended_grid, assemble, MgHierarchy,
                       WorkUnitMeter, damped_jacobi, restrict_full_weighting,
                       prolong_bilinear, coarsen_operator, mg_cycle,
-                      lfa_symbols, bicgstab, dense_reference_solve)
+                      lfa_symbols, bicgstab, dense_reference_solve,
+                      SolverConfig)
 from helmscat.helmholtz import HelmholtzOperator
 
 
@@ -83,8 +84,8 @@ def test_damped_jacobi_validation():
 
 
 @pytest.mark.parametrize("kwargs, needle", [
-    ({"nu1": -1}, "sweeps must be nonnegative"),
-    ({"nu2": -1}, "sweeps must be nonnegative"),
+    ({"nu1": -1}, "nu1 must be nonnegative"),
+    ({"nu2": -1}, "nu2 must be nonnegative"),
     ({"omega": 0.0}, r"omega must be in \(0, 1\]"),
     ({"omega": 1.5}, r"omega must be in \(0, 1\]"),
     ({"omega": np.nan}, r"omega must be in \(0, 1\]"),
@@ -95,6 +96,43 @@ def test_hierarchy_rejects_bad_smoothing(kwargs, needle):
     eg, op = _operator(s=17, abl=4, levels=2, k0=0.5)
     with pytest.raises(ValueError, match=needle):
         MgHierarchy(op, 2, **kwargs)
+
+
+def _hierarchy(n_levels=2, **kwargs):
+    _, op = _operator(s=17, abl=4, levels=2, k0=0.5)
+    return MgHierarchy(op, n_levels, **kwargs)
+
+
+def _jacobi(sweeps=1, omega=0.8):
+    eg, op = _operator()
+    b = np.ones((eg.points_per_side,) * 2, dtype=complex)
+    return damped_jacobi(op, b, None, omega, sweeps)
+
+
+_INTEGER_SETTINGS = [
+    (_hierarchy, "nu1"), (_hierarchy, "nu2"), (_hierarchy, "cycle_type"),
+    (_hierarchy, "n_levels"), (_jacobi, "sweeps"), (SolverConfig, "nu1"),
+    (SolverConfig, "nu2"), (SolverConfig, "cycle_type"),
+    (SolverConfig, "levels"), (SolverConfig, "abl_points"),
+    (SolverConfig, "max_iter")]
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, np.nan])
+@pytest.mark.parametrize(
+    "make, name", _INTEGER_SETTINGS,
+    ids=[f"{make.__name__.strip('_')}-{name}"
+         for make, name in _INTEGER_SETTINGS])
+def test_integer_settings_rejected_at_the_call(make, name, value):
+    # a float count once passed the hierarchy and the smoother, and failed
+    # later inside range() with a message that named no setting
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        make(**{name: value})
+
+
+@pytest.mark.parametrize("make", [_hierarchy, _jacobi, SolverConfig])
+def test_nan_omega_rejected_at_the_call(make):
+    with pytest.raises(ValueError, match=r"^omega must be in \(0, 1\]"):
+        make(omega=np.nan)
 
 
 def test_coarse_operator_background_ring():

@@ -41,8 +41,15 @@ def _build_scene(cfg) -> ScatteringScene:
 
 
 def _solver_config(cfg) -> SolverConfig:
-    return SolverConfig(**{name: getattr(cfg, key)
-                           for key, name in io._SOLVER_KEYS.items()})
+    """The run's solver settings; a rejected one is named by its key."""
+    settings = {}
+    for key, name in io._SOLVER_KEYS.items():
+        value = settings[name] = getattr(cfg, key)
+        try:
+            SolverConfig(**{name: value})
+        except ValueError as exc:
+            raise io.ConfigError(f"{key} = {value!r}: {exc}") from None
+    return SolverConfig(**settings)
 
 
 def _read_grid_field(cfg, key: str, grid: Grid2D) -> np.ndarray:

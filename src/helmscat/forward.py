@@ -11,9 +11,11 @@ from functools import cached_property
 import numpy as np
 
 from .grid import (Grid2D, build_extended_grid, check_count,
-                   check_directions, embed_potential, restrict_to_roi)
+                   check_directions, check_finite, check_nonnegative,
+                   check_point, check_positive, embed_potential,
+                   restrict_to_roi)
 from .helmholtz import assemble
-from .krylov import SolveReport, bicgstab
+from .krylov import SolveReport, bicgstab, check_tolerance
 from .lis import GreenKernel, _solve_stack, green_value, sample_green_kernel
 from .multigrid import MgHierarchy, check_cycle
 
@@ -57,10 +59,8 @@ class AcquisitionGeometry:
                              f"{self.active.dtype}")
         if self.active.shape != (d.shape[0], self.sensors.shape[0]):
             raise ValueError("active mask shape mismatch")
-        if not np.isfinite(self.u0):
-            raise ValueError(f"u0 must be finite, got {self.u0}")
-        if not np.all(np.isfinite(self.sensors)):
-            raise ValueError("sensor positions must be finite")
+        check_finite("u0", self.u0)
+        check_finite("sensor positions", self.sensors)
         if not (0.0 < self.wavelength < math.inf
                 and self.k0 * self.k0 < math.inf):
             raise ValueError(f"wavelength must be positive and finite, with "
@@ -80,22 +80,24 @@ class AcquisitionGeometry:
 def make_circular_geometry(num_views: int, num_sensors: int,
                            sensor_radius: float, wavelength: float,
                            center: tuple[float, float] = (0.0, 0.0),
-                           active_count: int | None = None,
-                           u0: complex = 1.0) -> AcquisitionGeometry:
+                           active_count: int | None = None
+                           ) -> AcquisitionGeometry:
     """Sources uniformly spread on a circle, shining toward the center;
     sensors uniformly on the same-center circle of ``sensor_radius``.  For
     each view, the ``active_count`` sensors farthest from the source are
     recorded (all of them when None)."""
-    if num_views < 1 or num_sensors < 1:
-        raise ValueError(f"need at least one view and one sensor, got "
-                         f"{num_views} views and {num_sensors} sensors")
-    if not sensor_radius > 0.0:
-        raise ValueError(f"sensor radius {sensor_radius} must be positive")
+    check_count("num_views", num_views, 1)
+    check_count("num_sensors", num_sensors, 1)
+    check_positive("sensor_radius", sensor_radius)
     diameter = 2.0 * float(sensor_radius)
     if not diameter * diameter < math.inf:
         raise ValueError(f"sensor radius {sensor_radius} is too large: the "
                          f"squared sensor distances overflow")
-    if active_count is not None and not 1 <= active_count <= num_sensors:
+    check_point("center", center)
+    if active_count is None:
+        active_count = num_sensors
+    check_count("active_count", active_count, 1)
+    if active_count > num_sensors:
         raise ValueError(f"active sensor count {active_count} out of range "
                          f"[1, {num_sensors}]")
     va = 2.0 * np.pi * np.arange(num_views) / num_views
@@ -103,8 +105,6 @@ def make_circular_geometry(num_views: int, num_sensors: int,
     sa = 2.0 * np.pi * np.arange(num_sensors) / num_sensors
     sensors = np.column_stack([center[0] + sensor_radius * np.cos(sa),
                                center[1] + sensor_radius * np.sin(sa)])
-    if active_count is None:
-        active_count = num_sensors
     source_pos = np.column_stack([center[0] + sensor_radius * np.cos(va),
                                   center[1] + sensor_radius * np.sin(va)])
     active = np.zeros((num_views, num_sensors), dtype=bool)
@@ -112,7 +112,7 @@ def make_circular_geometry(num_views: int, num_sensors: int,
         dist = np.linalg.norm(sensors - source_pos[q], axis=1)
         idx = np.argsort(-dist, kind="stable")[:active_count]
         active[q, np.sort(idx)] = True
-    return AcquisitionGeometry(directions, sensors, active, wavelength, u0)
+    return AcquisitionGeometry(directions, sensors, active, wavelength)
 
 
 @dataclass
@@ -123,8 +123,7 @@ class MeasurementSet:
 
     def __post_init__(self):
         for y in self.views:
-            if not np.all(np.isfinite(y)):
-                raise ValueError("measurements must be finite")
+            check_finite("measurements", y)
 
     @property
     def num_views(self) -> int:
@@ -193,11 +192,8 @@ class SolverConfig:
         check_count("levels", self.levels, 1)
         check_cycle(self.nu1, self.nu2, self.omega, self.cycle_type)
         check_count("max_iter", self.max_iter, 1)
-        if not 0.0 < self.tol < 1.0:
-            # the unsolved field's relative residual is 1: tol >= 1 passes it
-            raise ValueError("tol must be positive and less than 1")
-        if not self.beta >= 0.0:
-            raise ValueError("beta must be nonnegative")
+        check_tolerance(self.tol)
+        check_nonnegative("beta", self.beta)
 
 
 def plane_wave(grid: Grid2D, direction, k0: float, eta_b: float,
@@ -207,8 +203,8 @@ def plane_wave(grid: Grid2D, direction, k0: float, eta_b: float,
     of shape (2,), a (V, s, s) stack for a (V, 2) stack of directions.
     Each wave is the outer product of one exponential per axis: two
     (..., s) exponentials and one broadcast product."""
-    if not 0.0 < k0 * eta_b < math.inf:
-        raise ValueError("k0 * eta_b must be positive and finite")
+    check_positive("k0 * eta_b", k0 * eta_b)
+    check_finite("u0", u0)
     d = np.asarray(direction, dtype=float)
     if d.ndim not in (1, 2) or d.shape[-1] != 2:
         raise ValueError(f"direction must have shape (2,) or (V, 2), "
@@ -251,10 +247,8 @@ def sensor_green_operator(grid: Grid2D, sensors: np.ndarray, k0: float,
     copies that sensor's s-by-s row read as [::sx, ::sy], or its
     transpose, and evaluates no Green's function; every other sensor's row
     is evaluated."""
-    if not 0.0 < k0 * eta_b < math.inf:
-        raise ValueError("k0 * eta_b must be positive and finite")
-    if not np.all(np.isfinite(sensors)):
-        raise ValueError("sensor positions must be finite")
+    check_positive("k0 * eta_b", k0 * eta_b)
+    check_finite("sensor positions", sensors)
     lo = np.array(grid.origin)
     hi = lo + grid.side_length
     inside = np.all((sensors >= lo) & (sensors <= hi), axis=1)
@@ -298,8 +292,7 @@ class _ForwardModel:
         self.scene = scene
         self.cfg = cfg
         self.f = np.asarray(f, dtype=float)
-        if not np.all(np.isfinite(self.f)):
-            raise ValueError("the scattering potential f must be finite")
+        check_finite("the scattering potential f", self.f)
 
     def measure(self, views, sources: np.ndarray) -> list[np.ndarray]:
         """Per view of ``views``, the field at its active sensors radiated

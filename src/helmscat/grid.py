@@ -15,21 +15,43 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def check_integer(name: str, value) -> None:
-    """Raises TypeError unless ``value`` is a Python or numpy integer."""
+def check_count(name: str, value, least: int) -> None:
+    """Raises TypeError unless ``value`` is a Python or numpy integer, and
+    ValueError when it is below ``least``; NaN is not an integer."""
     try:
         operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
-def check_count(name: str, value, least: int) -> None:
-    """Raises TypeError unless ``value`` is an integer (see
-    :func:`check_integer`), and ValueError when it is below ``least``."""
-    check_integer(name, value)
     if not value >= least:
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """Raises ValueError unless ``value`` lies in (0, inf); NaN fails."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_nonnegative(name: str, value) -> None:
+    """Raises ValueError unless ``value`` lies in [0, inf); NaN fails."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got "
+                         f"{value!r}")
+
+
+def check_finite(name: str, values) -> None:
+    """Raises ValueError unless every entry of ``values``, a number or an
+    array, is finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+
+
+def check_point(name: str, p) -> None:
+    """Raises ValueError unless ``p`` is two finite numbers."""
+    if np.shape(p) != (2,):
+        raise ValueError(f"{name} must be two numbers, got {p!r}")
+    check_finite(name, p)
 
 
 def check_directions(name: str, d: np.ndarray) -> None:
@@ -54,18 +76,13 @@ class Grid2D:
 
     def __post_init__(self):
         check_count("points_per_side", self.points_per_side, 3)
-        if not 0.0 < self.side_length < math.inf:
-            raise ValueError("side_length must be positive and finite")
+        check_positive("side_length", self.side_length)
         h2 = self.h * self.h
         if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
             raise ValueError(f"side_length {self.side_length} gives a mesh "
                              f"size h = {self.h:g} whose h^2 or 1/h^2 is "
                              f"zero or not finite")
-        if np.shape(self.origin) != (2,):
-            raise ValueError(f"origin must be two numbers, got "
-                             f"{self.origin!r}")
-        if not all(math.isfinite(c) for c in self.origin):
-            raise ValueError("origin must be finite")
+        check_point("origin", self.origin)
 
     @property
     def h(self) -> float:
@@ -101,9 +118,8 @@ class ExtendedGrid2D:
     def __post_init__(self):
         check_count("abl_points", self.abl_points, 0)
         check_count("pad", self.pad, 0)
-        if not 0.0 <= self.abl_strength < math.inf:
-            # callers pass the strength as beta
-            raise ValueError("beta must be nonnegative and finite")
+        # callers pass the strength as beta
+        check_nonnegative("beta", self.abl_strength)
 
     @property
     def points_per_side(self) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .forward import (HelmholtzForward, ScatteringScene, SolverConfig,
                       _check_measurement_count)
-from .grid import check_count
+from .grid import check_count, check_nonnegative, check_positive
 
 
 @dataclass
@@ -27,8 +27,8 @@ class ReconstructionConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if not (0.0 < self.gamma < math.inf and 0.0 < self.tau < math.inf):
-            raise ValueError("gamma and tau must be positive and finite")
+        check_positive("gamma", self.gamma)
+        check_positive("tau", self.tau)
         check_count("iterations", self.iterations, 0)
         check_count("subset_size", self.subset_size, 1)
         check_count("inner_prox_iterations", self.inner_prox_iterations, 1)
@@ -124,10 +124,8 @@ def tv_prox(w: np.ndarray, weight: float, inner_iters: int = 50
     """Proximal map of weight*TV restricted to the nonnegative orthant, for
     one 2-D image, via fast gradient projection on the dual."""
     _check_image(w)
-    if not 0.0 <= weight < math.inf:
-        raise ValueError("weight must be nonnegative and finite")
-    if not inner_iters >= 1:
-        raise ValueError("inner_iters must be at least 1")
+    check_nonnegative("weight", weight)
+    check_count("inner_iters", inner_iters, 1)
     if weight == 0.0:
         return np.maximum(w, 0.0)
     return _tv_prox_dual(w, weight, inner_iters)[0]

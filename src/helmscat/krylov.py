@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import check_count, check_positive
+
 # near machine-zero: transient loss of significance in rho is survivable,
 # so only a scalar at roughly eps^2 of the problem scale stops the run
 BREAKDOWN_TOL = float(np.finfo(float).eps) ** 2
@@ -27,6 +29,14 @@ class SolveReport:
     work_units: float = 0.0
 
 
+def check_tolerance(tol) -> None:
+    """Raises ValueError unless the relative tolerance ``tol`` of a
+    total-field solve lies in (0, 1): the unsolved field's relative
+    residual is 1, so a tol of 1 or more passes it with no iteration."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be positive and less than 1, got {tol!r}")
+
+
 def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000):
     """Solve A x = b with Bi-CGSTAB, applying the (linear, zero-started)
     preconditioner ``apply_M`` to the search directions.  Started from
@@ -41,10 +51,8 @@ def bicgstab(apply_A, b, apply_M=None, x0=None, tol=1e-6, max_iter=1000):
     of ``residual_history``.  Raises :class:`BicgstabBreakdown` on a
     vanishing recurrence scalar.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    if not max_iter >= 1:
-        raise ValueError("max_iter must be at least 1")
+    check_positive("tol", tol)
+    check_count("max_iter", max_iter, 1)
     if apply_M is None:
         apply_M = lambda v: v
 

@@ -6,15 +6,14 @@ square window that holds the support of f.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0, j1, y0, y1
 
-from .grid import Grid2D
-from .krylov import SolveReport, bicgstab
+from .grid import Grid2D, check_finite, check_positive
+from .krylov import SolveReport, bicgstab, check_tolerance
 
 
 def green_value(k: float, r) -> np.ndarray:
@@ -93,8 +92,7 @@ def sample_green_kernel(grid: Grid2D, k0: float, eta_b: float) -> GreenKernel:
     The kernel depends on |offset| only, so the Green's function is
     evaluated on the (s+1)^2 quadrant of distinct |offsets| and mirrored
     into the padded grid."""
-    if not 0.0 < k0 * eta_b < math.inf:
-        raise ValueError("k0 * eta_b must be positive and finite")
+    check_positive("k0 * eta_b", k0 * eta_b)
     s = grid.points_per_side
     h = grid.h
     k = k0 * eta_b
@@ -173,13 +171,11 @@ def _solve_stack(kernel: GreenKernel, f: np.ndarray, u: np.ndarray,
     kernel and the operator v -> v - G(f_B v) are made once for the
     stack; only the Bi-CGSTAB solve and the extension run per field."""
     s = kernel.side
-    if not 0.0 < tol < 1.0:
-        # the unsolved field's relative residual is 1: tol >= 1 passes it
-        raise ValueError("tol must be positive and less than 1")
+    check_tolerance(tol)
     if f.shape != (s, s) or u.shape[1:] != (s, s):
         raise ValueError("f and u_in must live on the kernel grid")
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(u))):
-        raise ValueError("f and u_in must be finite")
+    check_finite("f", f)
+    check_finite("u_in", u)
     window = _support_window(f)
     if window is None:
         return [SolveReport(0, [0.0], converged=True) for _ in u]

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import h1vp, hankel1, jv, jvp
 
-from .grid import Grid2D, check_directions
+from .grid import Grid2D, check_directions, check_point, check_positive
 from .helmholtz import HelmholtzOperator
 
 # Most orders a disk's series may take.  A disk with kd*a = 1e4 is some 3200
@@ -30,28 +30,26 @@ class DiskScene:
     eta_b: float
     wavelength: float
     center: tuple[float, float] = (0.0, 0.0)
-    truncation_order: int = 0
 
     def __post_init__(self):
-        if not all(0.0 < v < np.inf for v in (self.radius, self.eta_disk,
-                                               self.eta_b, self.wavelength)):
-            raise ValueError("radius, refractive indices and wavelength must "
-                             "be positive and finite")
+        for name in ("radius", "eta_disk", "eta_b", "wavelength"):
+            check_positive(name, getattr(self, name))
+        check_point("center", self.center)
         kda = self.k0 * self.eta_disk * self.radius
         if not kda <= _MAX_ORDER:
             raise ValueError(f"{self.label}: the series cannot be sized, "
                              f"k*a = {kda:.3g} needs more than {_MAX_ORDER} "
                              f"orders")
-        min_order = int(np.ceil(kda)) + 15
-        if self.truncation_order == 0:
-            # default margin deeper than the floor so the tail test clears
-            object.__setattr__(self, "truncation_order", min_order + 15)
-        elif self.truncation_order < min_order:
-            raise ValueError(f"truncation_order must be >= {min_order}")
 
     @property
     def k0(self) -> float:
         return 2.0 * np.pi / self.wavelength
+
+    @property
+    def truncation_order(self) -> int:
+        """Highest order of the series, ceil(k*a) + 30 for the interior
+        wavenumber k: a margin deep enough that the tail test clears."""
+        return int(np.ceil(self.k0 * self.eta_disk * self.radius)) + 30
 
     @property
     def label(self) -> str:
@@ -83,9 +81,8 @@ def disk_series_coefficients(scene: DiskScene
 
 
 def analytic_disk_field(scene: DiskScene, grid: Grid2D,
-                        direction: tuple[float, float],
-                        u0: complex = 1.0) -> np.ndarray:
-    """Total field of a unit-speed plane wave u0*exp(j*kb*<d, x>) scattered
+                        direction: tuple[float, float]) -> np.ndarray:
+    """Total field of a unit-amplitude plane wave exp(j*kb*<d, x>) scattered
     by the disk, sampled on ``grid``.
 
     Outside: incident + sum_n b_n j^n H_n^(1)(kb r) e^(j n phi');
@@ -110,8 +107,8 @@ def analytic_disk_field(scene: DiskScene, grid: Grid2D,
     outside = ~inside
 
     # incident-wave phase referenced to the disk center
-    phase0 = u0 * np.exp(1j * kb * (d[0] * scene.center[0]
-                                    + d[1] * scene.center[1]))
+    phase0 = np.exp(1j * kb * (d[0] * scene.center[0]
+                               + d[1] * scene.center[1]))
 
     u = np.zeros(x.shape, dtype=complex)
     u[outside] = np.exp(1j * kb * r[outside] * np.cos(phi[outside]))

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import helmscat as hs
-from helmscat import io
 from helmscat.cli import main
 from helmscat.forward import sensor_green_operator
 from helmscat.inverse import (_forward_diff, _tv_prox_dual, tv_prox,

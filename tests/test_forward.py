@@ -282,6 +282,14 @@ def test_sensor_operator_rejects_nonpositive_wavenumber(k0, eta_b):
         hs.plane_wave(g, (1.0, 0.0), k0, eta_b)
 
 
+@pytest.mark.parametrize("u0", [np.nan, complex(0.0, np.inf)])
+def test_plane_wave_rejects_non_finite_amplitude(u0):
+    # a NaN amplitude once gave a NaN wave with no error
+    g = hs.Grid2D(9, 8.0, (-4.0, -4.0))
+    with pytest.raises(ValueError, match="^u0 must be finite$"):
+        hs.plane_wave(g, (1.0, 0.0), 1.0, 1.0, u0)
+
+
 @pytest.mark.parametrize("eta_b", [0.0, -1.0, np.nan, np.inf])
 def test_scene_rejects_bad_background_index(eta_b):
     g = hs.Grid2D(9, 8.0, (-4.0, -4.0))
@@ -297,7 +305,8 @@ def test_scene_rejects_bad_background_index(eta_b):
     ("tol", 0.0, "tol"), ("tol", np.nan, "tol"),
     ("tol", 1.0, "less than 1"), ("tol", 2.0, "less than 1"),
     ("max_iter", 0, "max_iter"),
-    ("abl_points", -1, "abl_points"), ("beta", -0.1, "beta")])
+    ("abl_points", -1, "abl_points"), ("beta", -0.1, "beta"),
+    ("beta", np.inf, "beta must be nonnegative and finite, got inf")])
 def test_solver_config_rejects_bad_values(field, value, needle):
     with pytest.raises(ValueError, match=needle):
         hs.SolverConfig(**{field: value})
@@ -633,7 +642,10 @@ def test_geometry_rejects_a_radius_whose_distances_overflow():
 
 @pytest.mark.parametrize("views, sensors", [(0, 8), (2, 0), (-1, 8)])
 def test_geometry_rejects_empty_counts(views, sensors):
-    with pytest.raises(ValueError, match="at least one view"):
+    name, value = ("num_views", views) if views < 1 else ("num_sensors",
+                                                            sensors)
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1, got "
+                                         f"{value}$"):
         hs.make_circular_geometry(views, sensors, 40.0, 10.0)
 
 
@@ -641,14 +653,16 @@ def test_geometry_rejects_empty_counts(views, sensors):
 def test_geometry_rejects_nonpositive_radius(radius):
     # at radius -40 the active sensors of view 0 would sit where its wave
     # comes from: <s, d> = -28.3, -40, -28.3 in place of 28.3, 40, 28.3
-    with pytest.raises(ValueError, match=f"sensor radius {radius} must be "
-                                         f"positive"):
+    with pytest.raises(ValueError, match=f"^sensor_radius must be positive "
+                                         f"and finite, got {radius}$"):
         hs.make_circular_geometry(4, 8, radius, 10.0, active_count=3)
 
 
 @pytest.mark.parametrize("active", [0, -1, 9])
 def test_geometry_rejects_active_count_out_of_range(active):
-    with pytest.raises(ValueError, match="active sensor count"):
+    needle = (f"^active_count must be at least 1, got {active}$"
+              if active < 1 else "^active sensor count 9 out of range")
+    with pytest.raises(ValueError, match=needle):
         hs.make_circular_geometry(2, 8, 40.0, 10.0, active_count=active)
 
 

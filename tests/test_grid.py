@@ -41,6 +41,20 @@ def test_grid_validation():
             build_extended_grid(Grid2D(9, 1.0), 2, beta, 1)
 
 
+@pytest.mark.parametrize("point", [(np.nan, 0.0), (0.0,), (0.0, 0.0, 1.0)],
+                         ids=["nan", "one number", "three numbers"])
+@pytest.mark.parametrize("make", [
+    lambda p: hs.make_circular_geometry(2, 4, 40.0, 10.0, center=p),
+    lambda p: hs.DiskScene(1.0, 1.2, 1.0, 10.0, center=p)],
+    ids=["geometry", "disk"])
+def test_centers_must_be_two_finite_numbers(make, point):
+    # a NaN center once gave a NaN disk field, one number an IndexError, and
+    # three numbers a geometry about the first two
+    needle = "must be finite" if len(point) == 2 else "must be two numbers"
+    with pytest.raises(ValueError, match=f"^center {needle}"):
+        make(point)
+
+
 @pytest.mark.parametrize("make, name", [
     (lambda v: Grid2D(v, 1.0), "points_per_side"),
     (lambda v: build_extended_grid(Grid2D(17, 1.0), 4, 0.1, v), "levels"),

@@ -134,9 +134,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         hs.ReconstructionConfig(gamma=1.0, tau=1.0, iterations=1,
                                 subset_size=0)
-    for bad, match in ((dict(gamma=np.nan), "gamma and tau"),
-                       (dict(tau=np.nan), "gamma and tau"),
-                       (dict(tau=np.inf), "gamma and tau"),
+    for bad, match in ((dict(gamma=np.nan), "^gamma must be positive and "
+                                            "finite, got nan$"),
+                       (dict(tau=np.nan), "^tau must be positive and finite, "
+                                          "got nan$"),
+                       (dict(tau=np.inf), "^tau must be positive and finite, "
+                                          "got inf$"),
                        (dict(iterations=-2), "iterations must be"),
                        (dict(subset_size=-5), "subset_size must be"),
                        (dict(inner_prox_iterations=0), "inner_prox_it"),

@@ -574,7 +574,7 @@ def test_counts_below_one(tmp_path, capsys, line):
     cfg = _write(tmp_path, SIM.replace(line, line[:-1] + "0"))
     _assert_input_error(capsys, ["simulate", "--config", str(cfg),
                                  "--out-dir", str(tmp_path / "cout")],
-                        "at least one view and one sensor")
+                        f"{line.split()[0]} must be at least 1, got 0")
 
 
 @pytest.mark.parametrize("lengths", [(3, 4), (4, 6), ((4, 2), 4),
@@ -653,6 +653,25 @@ def test_solver_settings_checked_on_the_direct_path(tmp_path, capsys, line,
     _assert_input_error(capsys, ["simulate", "--config", str(cfg),
                                  "--out-dir", str(out)], needle)
     assert not (out / "measurements.csv").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("mg_levels = 0", "mg_levels = 0: levels must be at least 1, got 0"),
+    ("omega_s = 1.5", "omega_s = 1.5: omega must be in (0, 1], got 1.5"),
+    ("solver_tol = 2", "solver_tol = 2.0: tol must be positive and less "
+                       "than 1, got 2.0"),
+    ("solver_max_iter = 0", "solver_max_iter = 0: max_iter must be at least "
+                            "1, got 0"),
+    ("nu1 = -1", "nu1 = -1: nu1 must be nonnegative, got -1")])
+def test_solver_setting_errors_name_their_key(tmp_path, capsys, line,
+                                              message):
+    key = line.split(" = ")[0]
+    text = "".join(row + "\n" for row in SIM.splitlines()
+                   if not row.startswith(key + " "))
+    cfg = _write(tmp_path, text + line + "\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "kout")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("line", ["disk_eta = nan", "disk_eta = inf",
@@ -993,7 +1012,8 @@ def test_negative_sensor_radius_exits_2(tmp_path, capsys):
     # the active sensors would move to the side the waves come from
     text = SIM.replace("sensor_radius_cm = 40.0", "sensor_radius_cm = -40")
     argv, out = _simulate(tmp_path, text + "active_sensors = 3\n")
-    _assert_input_error(capsys, argv, "sensor radius -40.0 must be positive")
+    _assert_input_error(capsys, argv, "sensor_radius must be positive and "
+                                      "finite, got -40.0")
     assert not any(out.iterdir())
 
 

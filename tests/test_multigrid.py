@@ -8,7 +8,7 @@ from helmscat import (Grid2D, build_extended_grid, assemble, MgHierarchy,
                       WorkUnitMeter, damped_jacobi, restrict_full_weighting,
                       prolong_bilinear, coarsen_operator, mg_cycle,
                       lfa_symbols, bicgstab, dense_reference_solve,
-                      SolverConfig)
+                      SolverConfig, make_circular_geometry, tv_prox)
 from helmscat.helmholtz import HelmholtzOperator
 
 
@@ -109,12 +109,29 @@ def _jacobi(sweeps=1, omega=0.8):
     return damped_jacobi(op, b, None, omega, sweeps)
 
 
+def _bicgstab(max_iter=10):
+    return bicgstab(lambda v: v, np.ones(4, dtype=complex),
+                    max_iter=max_iter)
+
+
+def _tv_prox(inner_iters=1):
+    return tv_prox(np.ones((4, 4)), 0.1, inner_iters)
+
+
+def _geometry(**kwargs):
+    return make_circular_geometry(**{"num_views": 2, "num_sensors": 8,
+                                     "sensor_radius": 40.0,
+                                     "wavelength": 10.0, **kwargs})
+
+
 _INTEGER_SETTINGS = [
     (_hierarchy, "nu1"), (_hierarchy, "nu2"), (_hierarchy, "cycle_type"),
     (_hierarchy, "n_levels"), (_jacobi, "sweeps"), (SolverConfig, "nu1"),
     (SolverConfig, "nu2"), (SolverConfig, "cycle_type"),
     (SolverConfig, "levels"), (SolverConfig, "abl_points"),
-    (SolverConfig, "max_iter")]
+    (SolverConfig, "max_iter"), (_bicgstab, "max_iter"),
+    (_tv_prox, "inner_iters"), (_geometry, "num_views"),
+    (_geometry, "num_sensors"), (_geometry, "active_count")]
 
 
 @pytest.mark.parametrize("value", [1.5, 2.0, np.nan])
